@@ -106,14 +106,6 @@ class CarveProxy {
                                       std::uint64_t hint) = 0;
 };
 
-// Per-allocator DRAM reservation state (definition in block_alloc.cc).
-// Reservations are *volatile*: a chunk is carved out of a segment's
-// persistent free list by one ordinary allocation, then handed out to its
-// owning thread lock-free from DRAM.  A crash strands nothing durable —
-// the carved-but-unwritten blocks are referenced by no inode, so recovery's
-// rebuild_free_lists sweep returns them to the free lists.
-struct ReserveRegistry;
-
 class BlockAllocator {
  public:
   // Formats the allocator over device blocks [data_off, data_off+len) with
@@ -161,31 +153,30 @@ class BlockAllocator {
     return alloc_direct(n_blocks, hint);
   }
 
-  // ---- thread-local block reservations (data-path fast lane) ----
+  // ---- per-thread block reservations (data-path fast lane) ----
   //
-  // When enabled, small allocations (≤ kReserveServeMax blocks) are served
-  // from a per-thread chunk of `blocks` carved under ONE segment-lock
+  // Small allocations (≤ kReserveServeMax blocks) are served from a
+  // per-thread chunk of kReserveChunk blocks carved under ONE segment-lock
   // acquisition and handed out in ascending address order (so consecutive
   // appends of one thread form one extent per chunk).  Larger requests and
-  // frees keep the direct path.  Off by default (blocks = 0) so raw
-  // allocator users — and their exact free-space accounting — see the
-  // historical behavior; the file system opts in at mount.
+  // frees keep the direct path.
   //
-  // Residency: a raw allocator keeps the reservation registry in private
-  // DRAM (single-mount use).  A mounted file system calls
-  // attach_shared_state() first, which moves every reservation into fixed
-  // shm slots stamped with the mount's token — so N concurrent mounts
-  // share the accounting, and a survivor can return a dead mount's carved
-  // remainders to the free lists via reclaim_mount_reservations() without
-  // a remount (the decentralized crash rule, §4.2).
-  static constexpr std::uint64_t kDefaultReserveChunk = 64;  // 256 KB
+  // Every reservation is a fixed shm slot (alloc/shm_state.h) stamped with
+  // the owning mount's token, so N concurrent mounts share the accounting
+  // and a survivor can return a dead mount's carved remainders to the free
+  // lists via reclaim_mount_reservations() without a remount (the
+  // decentralized crash rule, §4.2).  Reservations are volatile: the
+  // carved-but-unwritten blocks are referenced by no inode, so after a
+  // crash recovery's rebuild_free_lists sweep returns them to the lists.
+  // An allocator without attach_shared_state() serves every request
+  // through the direct path.
+  static constexpr std::uint64_t kReserveChunk = 64;  // 256 KB
   static constexpr std::uint64_t kReserveServeMax = 8;
-  void set_reserve_chunk(std::uint64_t blocks);
-  [[nodiscard]] std::uint64_t reserve_chunk() const noexcept;
+  static_assert(kReserveServeMax < kReserveChunk);
 
-  // Switches reservation residency to the shared-DRAM slots (`shared` lives
-  // in the shm device's header) and tags every future carve with
-  // `mount_token`.  Call before the first alloc().
+  // Enables reservations in the shared-DRAM slots (`shared` lives in the
+  // shm device's header) and tags every future carve with `mount_token`.
+  // Call before the first alloc().
   void attach_shared_state(ShmAllocShared* shared,
                            std::uint64_t mount_token) noexcept;
   [[nodiscard]] std::uint64_t mount_token() const noexcept {
@@ -202,10 +193,10 @@ class BlockAllocator {
   // of locks cleared.
   unsigned reap_expired_segment_locks();
 
-  // Clean shutdown: returns every reservation's unused remainder to the
-  // free lists (including remainders orphaned by exited threads).  In
-  // shared-state mode this drains only THIS mount's slots — peers' chunks
-  // are still live; last-out can sweep stragglers with drain_all=true.
+  // Clean shutdown: returns the unused remainder of every slot THIS mount
+  // owns (including slots of its exited threads) to the free lists —
+  // peers' chunks are still live; last-out can sweep stragglers with
+  // drain_all=true.
   void drain_reservations(bool drain_all = false);
   // Recovery: forget all reservations WITHOUT touching the device — the
   // caller is about to rebuild_free_lists, which reclaims the blocks.
@@ -292,10 +283,9 @@ class BlockAllocator {
   // Reservation refill: through the carve proxy when installed (service
   // mode), alloc_direct otherwise.
   Result<std::uint64_t> carve(std::uint64_t n_blocks, std::uint64_t hint);
+  // Serves from this thread's shm slot, refilling it with one carve.
   Result<std::uint64_t> alloc_reserved(std::uint64_t n_blocks,
                                        std::uint64_t hint);
-  Result<std::uint64_t> alloc_reserved_shm(std::uint64_t n_blocks,
-                                           std::uint64_t hint);
   // Claims (or revalidates) this thread's shm reservation slot; nullptr if
   // all slots are taken (caller falls back to the direct path).
   ShmReservation* shm_thread_slot();
@@ -311,17 +301,12 @@ class BlockAllocator {
   // Heap-held for the same movability reason; read on every refill carve.
   std::unique_ptr<std::atomic<CarveProxy*>> carve_proxy_ =
       std::make_unique<std::atomic<CarveProxy*>>(nullptr);
-  // Shared with thread-local slots so an exiting thread never touches a
-  // destroyed registry (it just drops its reference; the remainder is
-  // adopted or drained later).  In shared-state mode the registry only
-  // carries configuration (chunk size); the slots live in *shared_.
-  std::shared_ptr<ReserveRegistry> reserve_;
+  // Reservation slots; nullptr until attach_shared_state (no reservations).
   ShmAllocShared* shared_ = nullptr;
   std::uint64_t mount_token_ = 0;
   // Segment affinity: alloc_direct rotates each mount's segment walk by
   // this bias so two mounts with similar hints start on different segment
-  // locks (set by attach_shared_state from the mount token; 0 for raw
-  // single-mount allocators, preserving the historical placement).
+  // locks (set by attach_shared_state from the mount token; 0 until then).
   unsigned segment_bias_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <vector>
 
 #include "common/failpoint.h"
 
@@ -98,19 +99,12 @@ Status ObjectAllocator::grow() {
   return Status::ok();
 }
 
-void ObjectAllocator::refill_cache() {
-  // Collect candidates (flags == 00) without claiming them; alloc() claims
-  // with a CAS so duplicates across shards/mounts are harmless.
-  scan([this](std::uint64_t payload_off, std::uint32_t flags) {
-    if (flags == 0) cache_.push_back(payload_off);
-  });
-}
-
 bool ObjectAllocator::refill_shared() {
   // Push candidates (flags == 00) without claiming them; duplicates across
   // refilling mounts are harmless — the popper must win the flag CAS.  A
   // full stack ends the scan early: whatever did not fit is found again by
   // the next refill.
+  ObjCacheStack& st = stack();
   const std::uint64_t self = shm_self_token();
   std::uint64_t batch[64];
   unsigned pending = 0;
@@ -121,24 +115,24 @@ bool ObjectAllocator::refill_shared() {
     batch[pending++] = payload_off;
     if (pending < std::size(batch)) return;
     const unsigned put =
-        stack_->push_batch(batch, pending, home_stripe_, self, lease_ns_);
+        st.push_batch(batch, pending, home_stripe_, self, lease_ns_);
     any |= put > 0;
     full = put < pending;
     pending = 0;
   });
   if (!full && pending > 0)
-    any |= stack_->push_batch(batch, pending, home_stripe_, self, lease_ns_) >
-           0;
+    any |= st.push_batch(batch, pending, home_stripe_, self, lease_ns_) > 0;
   return any;
 }
 
-Result<std::uint64_t> ObjectAllocator::alloc_shared() {
+Result<std::uint64_t> ObjectAllocator::alloc() {
   // Serve from the thread-local magazine, batch-refilled off the shared
   // stack, racing peers for the on-media claim.  Every grow() adds fresh
   // free objects, so each trip around the loop makes global progress until
   // the device is full.
+  ObjCacheStack& st = stack();
   const std::uint64_t self = shm_self_token();
-  Magazine& mag = magazine_for(stack_);
+  Magazine& mag = magazine_for(&st);
   for (;;) {
     while (!mag.hints.empty()) {
       const std::uint64_t off = mag.hints.back();
@@ -156,8 +150,8 @@ Result<std::uint64_t> ObjectAllocator::alloc_shared() {
     }
     std::uint64_t batch[kMagazineBatch];
     std::uint64_t steals = 0;
-    const unsigned got = stack_->pop_batch(batch, kMagazineBatch, home_stripe_,
-                                           self, lease_ns_, &steals);
+    const unsigned got = st.pop_batch(batch, kMagazineBatch, home_stripe_,
+                                      self, lease_ns_, &steals);
     if (steals > 0)
       stats_->stripe_steals.fetch_add(steals, std::memory_order_relaxed);
     if (got > 0) {
@@ -167,32 +161,8 @@ Result<std::uint64_t> ObjectAllocator::alloc_shared() {
       continue;
     }
     if (refill_shared()) continue;
-    if (Status st = grow(); !st.is_ok()) return st.code();
+    if (Status g = grow(); !g.is_ok()) return g.code();
     refill_shared();
-  }
-}
-
-Result<std::uint64_t> ObjectAllocator::alloc() {
-  if (stack_ != nullptr) return alloc_shared();
-  common::MutexLock lock(*cache_mu_);
-  for (;;) {
-    while (!cache_.empty()) {
-      const std::uint64_t off = cache_.back();
-      cache_.pop_back();
-      ObjectHeader& hdr = header_of(off);
-      std::uint32_t expected = 0;
-      if (hdr.flags.compare_exchange_strong(expected, kObjValid | kObjDirty,
-                                            std::memory_order_acq_rel)) {
-        nvmm::persist_now(hdr.flags);
-        SIMURGH_FAILPOINT("objalloc.claimed");
-        return off;
-      }
-    }
-    refill_cache();
-    if (!cache_.empty()) continue;
-    if (Status st = grow(); !st.is_ok()) return st.code();
-    refill_cache();
-    if (cache_.empty()) return Errc::no_space;
   }
 }
 
@@ -231,21 +201,17 @@ void ObjectAllocator::finish_pending_free(std::uint64_t payload_off) {
   ObjectHeader& hdr = header_of(payload_off);
   hdr.flags.store(0, std::memory_order_release);
   nvmm::persist_now(hdr.flags);
-  if (stack_ != nullptr) {
-    // Recycle through the local magazine; spill the oldest half to the
-    // shared stack once it overfills (dropped-when-full is fine there —
-    // a refill scan finds the object again).
-    Magazine& mag = magazine_for(stack_);
-    mag.hints.push_back(payload_off);
-    if (mag.hints.size() > kMagazineMax) {
-      stack_->push_batch(mag.hints.data(), kMagazineBatch, home_stripe_,
-                         shm_self_token(), lease_ns_);
-      mag.hints.erase(mag.hints.begin(), mag.hints.begin() + kMagazineBatch);
-    }
-    return;
+  // Recycle through the local magazine; spill the oldest half to the
+  // shared stack once it overfills (dropped-when-full is fine there — a
+  // refill scan finds the object again).
+  ObjCacheStack& st = stack();
+  Magazine& mag = magazine_for(&st);
+  mag.hints.push_back(payload_off);
+  if (mag.hints.size() > kMagazineMax) {
+    st.push_batch(mag.hints.data(), kMagazineBatch, home_stripe_,
+                  shm_self_token(), lease_ns_);
+    mag.hints.erase(mag.hints.begin(), mag.hints.begin() + kMagazineBatch);
   }
-  common::MutexLock lock(*cache_mu_);
-  cache_.push_back(payload_off);
 }
 
 std::uint32_t ObjectAllocator::flags_of(std::uint64_t payload_off) const {
@@ -272,13 +238,9 @@ bool ObjectAllocator::owns_block(std::uint64_t block_off) const {
 }
 
 void ObjectAllocator::drop_volatile_cache() {
-  if (stack_ != nullptr) {
-    magazine_for(stack_).hints.clear();  // this thread's magazine only;
-    stack_->reset();  // peers' stale magazines lose the claim CAS anyway
-    return;
-  }
-  common::MutexLock lock(*cache_mu_);
-  cache_.clear();
+  ObjCacheStack& st = stack();
+  magazine_for(&st).hints.clear();  // this thread's magazine only;
+  st.reset();  // peers' stale magazines lose the claim CAS anyway
 }
 
 }  // namespace simurgh::alloc

@@ -18,26 +18,21 @@
 //
 // A volatile free-list caches offsets of free objects so the hot path is
 // O(1), falling back to scanning pool segments on refill.  The cache is a
-// *hint* store — the on-media flag CAS is the only claim authority — so its
-// residency is a deployment choice: a raw single-process allocator keeps a
-// mutex-guarded DRAM vector; a mounted file system calls
-// attach_shared_cache() to use a LIFO stack in the shm device instead,
-// shared by every mount (alloc/shm_state.h).  Without that, mount A's
-// private cache happily serves offsets mount B already claimed and every
-// alloc burns a failed persist-fenced CAS — or worse, both serve the same
-// offset and one spins through a full rescan.  Both residencies are LIFO,
-// so a just-freed object is the next one handed out in either mode.
+// *hint* store — the on-media flag CAS is the only claim authority — kept
+// in one place every mount reaches: a striped LIFO stack in the shm device
+// (alloc/shm_state.h), attached with attach_shared_cache() before the
+// first alloc().  A mount-private cache would happily serve offsets a peer
+// already claimed, so every alloc would burn a failed persist-fenced CAS.
+// The stack is LIFO, so a just-freed object is the next one handed out.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "alloc/block_alloc.h"
 #include "alloc/shm_state.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 
 namespace simurgh::alloc {
 
@@ -139,15 +134,15 @@ class ObjectAllocator {
     }
   }
 
-  // Drops the volatile free cache (simulated process restart).  With a
-  // shared stack attached this resets the stack — quiescent callers only
-  // (recovery, while peers wait on the mount registry's recovering token).
+  // Drops the volatile free cache (simulated process restart): resets the
+  // shared stack — quiescent callers only (recovery, while peers wait on
+  // the mount registry's recovering token).
   void drop_volatile_cache();
 
-  // Switches the free cache to a shm-resident striped stack shared by all
+  // Attaches the shm-resident striped free-object stack shared by all
   // mounts.  `mount_token` picks this mount's home stripe (other stripes
-  // are touched only to steal/spill).  Call before the first alloc();
-  // `stack` must outlive the allocator.
+  // are touched only to steal/spill).  Required before the first alloc()
+  // or free(); `stack` must outlive the allocator.
   void attach_shared_cache(ObjCacheStack* stack,
                            std::uint64_t mount_token) noexcept {
     stack_ = stack;
@@ -179,21 +174,19 @@ class ObjectAllocator {
         dev_->at(payload_off - sizeof(ObjectHeader)));
   }
 
+  // The attached shared free-object stack (attach_shared_cache).
+  [[nodiscard]] ObjCacheStack& stack() const {
+    SIMURGH_CHECK(stack_ != nullptr);
+    return *stack_;
+  }
+
   Status grow();
-  void refill_cache() REQUIRES(*cache_mu_);
-  Result<std::uint64_t> alloc_shared();
   bool refill_shared();
 
   nvmm::Device* dev_;
   BlockAllocator* blocks_;
   std::uint64_t pool_off_;
 
-  // Volatile free cache (per-mount, rebuilt on attach/refill).  Heap-held
-  // so the allocator stays movable.  Unused once stack_ is attached.
-  // GUARDED_BY dereferences the unique_ptr: the analysis tracks `*cache_mu_`
-  // as the capability expression, which every lock site names too.
-  std::unique_ptr<common::Mutex> cache_mu_ = std::make_unique<common::Mutex>();
-  std::vector<std::uint64_t> cache_ GUARDED_BY(*cache_mu_);
   ObjCacheStack* stack_ = nullptr;
   unsigned home_stripe_ = 0;
   std::uint64_t lease_ns_ = 100'000'000;  // 100 ms

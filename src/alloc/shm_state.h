@@ -3,27 +3,29 @@
 // The paper's deployment model is N independent processes mounting one NVMM
 // region with no server (§4).  Any mutable allocator state that more than
 // one mount can reach therefore must live where every mount — and every
-// *survivor* of a crashed mount — can see it.  Two pieces qualify:
+// *survivor* of a crashed mount — can see it.  These two pieces are the
+// allocators' only volatile state; neither has a mount-private copy:
 //
-//   * Block reservations (block_alloc.h "thread-local block reservations"):
+//   * Block reservations (block_alloc.h "per-thread block reservations"):
 //     a chunk carved out of a segment's persistent free list and handed out
-//     lock-free.  If the carving mount dies, the unused remainder is
+//     to one thread.  If the carving mount dies, the unused remainder is
 //     referenced by no inode and sits on no free list; survivors must be
 //     able to find it and give it back without a full remount.  Each
 //     reservation is a fixed shm slot stamped with the owning mount's
 //     token, guarded by a lease-stamped slot spinlock (the same
-//     decentralized crash rule as allocator segment locks).
+//     decentralized crash rule as allocator segment locks).  A block
+//     allocator with no slots attached serves every request directly.
 //
 //   * The object allocator's free-object cache (obj_alloc.h): offsets of
 //     free pool objects.  The on-media two-bit CAS claim remains the only
 //     authority — a cached offset is a *hint* — so sharing one bounded
-//     stack between all mounts is safe by construction and removes the
-//     per-mount mutex from the hot path.  The stack is deliberately LIFO,
-//     matching the single-process allocator: a just-freed object is the
-//     next one handed out, which keeps recycling prompt and the object's
-//     cache lines hot.  A full stack drops the push (the scan refill finds
-//     the object again later); an empty one sends the caller to the refill
-//     scan.
+//     stack between all mounts is safe by construction and needs no
+//     per-mount mutex on the hot path.  The stack is deliberately LIFO: a
+//     just-freed object is the next one handed out, which keeps recycling
+//     prompt and the object's cache lines hot.  A full stack drops the
+//     push (the scan refill finds the object again later); an empty one
+//     sends the caller to the refill scan.  An object allocator must have
+//     its stack attached before it allocates.
 //
 // Sharding (NOVA-style per-CPU partitioning, ported to the cross-mount
 // tier): one spinlocked LIFO per pool serialises every mount behind a

@@ -492,10 +492,11 @@ class Checker {
         fail("segment ", s, ": free_blocks counter ",
              blocks.segment_free_blocks(s), " != ", seg_free[s],
              " blocks actually on the free list");
-    // On a live mount, blocks carved into thread-local reservations are
-    // still free space — they sit in a thread's DRAM allotment rather than
-    // on a segment list.  (Crash images never reach here with reservations:
-    // recovery invalidates them and the rebuild returns the blocks.)
+    // On a live mount, blocks carved into per-thread reservations are
+    // still free space — they sit in a thread's shm reservation slot
+    // rather than on a segment list.  (Crash images never reach here with
+    // reservations: recovery invalidates them and the rebuild returns the
+    // blocks.)
     blocks.for_each_reservation([&](std::uint64_t off, std::uint64_t count) {
       claim(off, count, kOwnerReservation, "thread reservation");
       r_.free_blocks += count;

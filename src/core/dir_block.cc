@@ -292,7 +292,7 @@ void DirOps::steal_repair(Inode& dir, const Route& rt, DirBlock* target,
 
 DirOps::SlotRef DirOps::find_slot_in(DirBlock* head, unsigned ln,
                                      std::string_view name,
-                                     std::uint16_t tag) const {
+                                     std::uint16_t tag, bool locked) const {
   for (DirBlock* blk = head; blk != nullptr;
        blk = blk->next.load().in(dev_)) {
     for (unsigned s = 0; s < kSlotsPerLine; ++s) {
@@ -302,8 +302,19 @@ DirOps::SlotRef DirOps::find_slot_in(DirBlock* head, unsigned ln,
       if (off == 0 || DirSlot::tag_of(v) != tag) continue;
       FileEntry* fe = entry_at(off);
       if (fe->name_equals(name)) {
-        if (scrub_slot(slot)) continue;  // was a dead entry
-        return {blk, &slot};
+        if (locked) {
+          if (scrub_slot(slot)) continue;  // was a dead entry
+        } else if ((pools_.fentry->flags_of(off) & alloc::kObjValid) == 0) {
+          // Mid-delete.  A lock-free reader skips it but must not finish
+          // the delete: by the time its clear_slot CAS ran, the entry
+          // could be freed, recycled and republished under the same slot
+          // word, and the CAS would unlink the live successor.
+          continue;
+        }
+        // A remove that raced the compare may have freed (and a create
+        // recycled) the entry; only a slot still holding `v` vouches for it.
+        if (slot.v.load(std::memory_order_acquire) != v) continue;
+        return {blk, &slot, v};
       }
     }
   }
@@ -311,18 +322,18 @@ DirOps::SlotRef DirOps::find_slot_in(DirBlock* head, unsigned ln,
 }
 
 DirOps::SlotRef DirOps::find_slot(Inode& dir, unsigned ln,
-                                  std::string_view name,
-                                  std::uint16_t tag) const {
+                                  std::string_view name, std::uint16_t tag,
+                                  bool locked) const {
   const Route rt = route_of(dir, name);
   if (rt.anchor == nullptr) return {};
   if (rt.head != rt.anchor && rt.splitting) {
     // Mid-split: an entry lives in the legacy chain until its bucket copy
     // is published, and the copy is published before the legacy slot
     // clears — so scanning source before destination can never miss it.
-    SlotRef ref = find_slot_in(rt.anchor, ln, name, tag);
+    SlotRef ref = find_slot_in(rt.anchor, ln, name, tag, locked);
     if (ref.slot != nullptr) return ref;
   }
-  return find_slot_in(rt.head, ln, name, tag);
+  return find_slot_in(rt.head, ln, name, tag, locked);
 }
 
 Result<DirOps::SlotRef> DirOps::free_slot_in(DirBlock* head, unsigned ln) {
@@ -367,9 +378,9 @@ Result<std::uint64_t> DirOps::lookup(Inode& dir, std::string_view name) const {
   const std::uint16_t tag = tag_of_name(name);
   // Lock-free: readers never take the busy bit (paper: concurrent lookups
   // scale; consistency comes from the publication order of slots).
-  SlotRef ref = const_cast<DirOps*>(this)->find_slot(dir, ln, name, tag);
+  SlotRef ref = find_slot(dir, ln, name, tag, /*locked=*/false);
   if (ref.slot == nullptr) return Errc::not_found;
-  return DirSlot::off_of(ref.slot->v.load(std::memory_order_acquire));
+  return DirSlot::off_of(ref.v);
 }
 
 Status DirOps::insert(Inode& dir, std::string_view name,
@@ -417,7 +428,7 @@ Result<std::uint64_t> DirOps::remove_locked(Inode& dir, unsigned ln,
   const std::uint16_t tag = tag_of_name(name);
   SlotRef ref = find_slot(dir, ln, name, tag);
   if (ref.slot == nullptr) return Errc::not_found;
-  const std::uint64_t v = ref.slot->v.load(std::memory_order_acquire);
+  const std::uint64_t v = ref.v;
   const std::uint64_t fe_off = DirSlot::off_of(v);
   FileEntry* fe = entry_at(fe_off);
   const std::uint64_t inode_off = fe->inode.load().raw();
@@ -477,8 +488,7 @@ Result<std::uint64_t> DirOps::rename_local(Inode& dir,
     pools_.fentry->free(new_fe_off);
     return Errc::not_found;
   }
-  const std::uint64_t old_v = old_ref.slot->v.load(std::memory_order_acquire);
-  const std::uint64_t old_fe_off = DirSlot::off_of(old_v);
+  const std::uint64_t old_fe_off = DirSlot::off_of(old_ref.v);
   FileEntry* old_fe = entry_at(old_fe_off);
 
   new_fe->set_name(new_name);
@@ -493,7 +503,7 @@ Result<std::uint64_t> DirOps::rename_local(Inode& dir,
   std::uint64_t replaced_inode = 0;
   SlotRef target_ref = find_slot(dir, l_new, new_name, tag_new);
   if (target_ref.slot != nullptr &&
-      DirSlot::off_of(target_ref.slot->v.load()) == old_fe_off)
+      DirSlot::off_of(target_ref.v) == old_fe_off)
     target_ref = {};  // renaming onto itself through the old slot
 
   // Steps 3-4: mark the directory and line(s) as rename-busy.
@@ -524,8 +534,7 @@ Result<std::uint64_t> DirOps::rename_local(Inode& dir,
   // Step 7: publish in the correct line (reusing the displaced target's
   // slot when replacing).
   if (target_ref.slot != nullptr) {
-    const std::uint64_t t_v = target_ref.slot->v.load();
-    const std::uint64_t t_off = DirSlot::off_of(t_v);
+    const std::uint64_t t_off = DirSlot::off_of(target_ref.v);
     FileEntry* t_fe = entry_at(t_off);
     replaced_inode = t_fe->inode.load().raw();
     target_ref.slot->v.store(DirSlot::pack(tag_new, new_fe_off),
@@ -576,7 +585,7 @@ Result<std::uint64_t> DirOps::rename_cross(Inode& src_dir,
 
   SlotRef src_ref = find_slot(src_dir, l_src, old_name, tag_old);
   if (src_ref.slot == nullptr) return Errc::not_found;
-  const std::uint64_t src_v = src_ref.slot->v.load(std::memory_order_acquire);
+  const std::uint64_t src_v = src_ref.v;
   const std::uint64_t old_fe_off = DirSlot::off_of(src_v);
   FileEntry* old_fe = entry_at(old_fe_off);
 
@@ -601,9 +610,7 @@ Result<std::uint64_t> DirOps::rename_cross(Inode& src_dir,
   log.old_fentry = old_fe_off;
   log.new_fentry = new_fe_off;
   log.replaced_inode =
-      dst_ref.slot ? entry_at(DirSlot::off_of(dst_ref.slot->v.load()))
-                         ->inode.load()
-                         .raw()
+      dst_ref.slot ? entry_at(DirSlot::off_of(dst_ref.v))->inode.load().raw()
                    : 0;
   nvmm::persist(&log, sizeof(log));
   nvmm::fence();
@@ -614,8 +621,7 @@ Result<std::uint64_t> DirOps::rename_cross(Inode& src_dir,
 
   // Step 4: perform the operation.
   if (dst_ref.slot != nullptr) {
-    const std::uint64_t t_v = dst_ref.slot->v.load();
-    const std::uint64_t t_off = DirSlot::off_of(t_v);
+    const std::uint64_t t_off = DirSlot::off_of(dst_ref.v);
     FileEntry* t_fe = entry_at(t_off);
     replaced_inode = t_fe->inode.load().raw();
     dst_ref.slot->v.store(DirSlot::pack(tag_new, new_fe_off),

@@ -428,16 +428,24 @@ class DirOps {
 
   // Probes line `ln` for `name` in every chain that may hold it (the
   // governing bucket chain; plus the legacy chain first while a split is
-  // migrating); returns {block, slot} or nulls.  Scrubs slots whose
-  // entries are zeroed (interrupted delete).
+  // migrating); returns {block, slot, v} or nulls.  A `locked` caller
+  // (holding the line lock) scrubs slots whose entries are zeroed
+  // (interrupted delete); a lock-free reader only skips them.
+  //
+  // `v` is the slot word the probe validated: its tag matched, its entry
+  // carried `name`, and the slot still held it after the name compare.
+  // Lock-free readers must use `v`, never reload the slot — a concurrent
+  // remove may zero or recycle it the instant the probe returns.  Under
+  // the line lock the slot cannot change, so `v` is also the current word.
   struct SlotRef {
     DirBlock* block = nullptr;
     DirSlot* slot = nullptr;
+    std::uint64_t v = 0;
   };
   SlotRef find_slot(Inode& dir, unsigned ln, std::string_view name,
-                    std::uint16_t tag) const;
+                    std::uint16_t tag, bool locked = true) const;
   SlotRef find_slot_in(DirBlock* head, unsigned ln, std::string_view name,
-                       std::uint16_t tag) const;
+                       std::uint16_t tag, bool locked = true) const;
   // First free slot in line `ln` of `head`'s chain, appending a block if
   // needed.  New entries always go to the governing head, never legacy.
   Result<SlotRef> free_slot_in(DirBlock* head, unsigned ln);

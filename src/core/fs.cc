@@ -144,16 +144,6 @@ void FileSystem::make_walker() {
     }
     dirops_->set_split_params(threshold, bits);
   }
-
-  // ... and thread-local block reservations (SIMURGH_BLOCK_RESERVE=<blocks>,
-  // 0 disables).  Raw BlockAllocator users keep the direct path; only a
-  // mounted file system opts in.
-  std::uint64_t reserve = alloc::BlockAllocator::kDefaultReserveChunk;
-  if (const char* s = std::getenv("SIMURGH_BLOCK_RESERVE")) {
-    const long n = std::strtol(s, nullptr, 10);
-    reserve = n <= 0 ? 0 : static_cast<std::uint64_t>(n);
-  }
-  blocks_->set_reserve_chunk(reserve);
 }
 
 std::unique_ptr<FileSystem> FileSystem::format(nvmm::Device& nvmm,

@@ -67,10 +67,10 @@ RecoveryReport FileSystem::recover() {
   // Same reasoning for file extent maps: the sweep may reclaim/recycle
   // inodes without going through drop_inode's epoch retirement.
   extent_cache_->clear();
-  // Thread-local block reservations reference carved-out blocks that no
-  // inode uses; forget them so the rebuild below returns those blocks to
-  // the free lists exactly once (rebuild_free_lists also does this
-  // defensively, but the intent belongs here with the other caches).
+  // Per-thread block reservations (shm slots) reference carved-out blocks
+  // that no inode uses; forget them so the rebuild below returns those
+  // blocks to the free lists exactly once (rebuild_free_lists also does
+  // this defensively, but the intent belongs here with the other caches).
   blocks_->invalidate_reservations();
   // Write-behind tier: staged DRAM epochs model page-cache state a crash
   // loses — discard them with accounting (the relaxed-class contract).  An

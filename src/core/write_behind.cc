@@ -484,9 +484,16 @@ void WriteBehind::drain_epoch(Epoch& e) {
   nvmm::fence();
   // 3. Apply the size/mtime stamps — exactly the strict path's commit
   //    (size max + mtime + one-line persist), now provably after the data
-  //    fence.  A crash in here rolls forward from the journal.
+  //    fence.  A crash in here rolls forward from the journal.  Each stamp
+  //    takes the file lock: a reader (do_read, under SharedFileLock) that
+  //    sampled the old size zero-fills past it and relies on overlaying
+  //    this epoch's ranges, so neither the stamp nor the epoch's retire
+  //    (drain_front_locked, after every stamp) may land inside its read.
   for (std::uint32_t i = 0; i < n; ++i) {
-    Inode* ino = fs_.inode_at(j.entries[i].ino_off);
+    const std::uint64_t ino_off = j.entries[i].ino_off;
+    Inode* ino = fs_.inode_at(ino_off);
+    ExclusiveFileLock flock(fs_.file_locks(),
+                            fs_.file_locks().slot_for(ino_off));
     inode_size_max(ino->size, j.entries[i].new_size);
     ino->mtime_ns.store(j.entries[i].mtime_ns, std::memory_order_relaxed);
     nvmm::persist(&ino->size, kSizeStampBytes);

@@ -1,7 +1,13 @@
 // Tests for the segmented block allocator (§4.2).
+//
+// Every allocator here runs with a ShmAllocShared attached under a nonzero
+// mount token — the configuration a mounted file system runs — so small
+// requests go through the shm reservation slots.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -12,6 +18,17 @@
 namespace simurgh::alloc {
 namespace {
 
+constexpr std::uint64_t kMountA = 0x1001;
+constexpr std::uint64_t kMountB = 0x2003;
+
+// Stands in for the shm device's allocator block: zeroed, then reset so
+// it carries a fresh epoch like a newly formatted shm header.
+std::unique_ptr<ShmAllocShared> make_shared_state() {
+  auto shared = std::make_unique<ShmAllocShared>();
+  shared->reset();
+  return shared;
+}
+
 class BlockAllocTest : public ::testing::Test {
  protected:
   static constexpr std::uint64_t kHeaderOff = 4096;
@@ -19,10 +36,29 @@ class BlockAllocTest : public ::testing::Test {
 
   BlockAllocTest()
       : dev_(64ull << 20),
+        shared_(make_shared_state()),
         alloc_(BlockAllocator::format(dev_, kHeaderOff, kDataOff,
-                                      dev_.size() - kDataOff, 8)) {}
+                                      dev_.size() - kDataOff, 8)) {
+    alloc_.attach_shared_state(shared_.get(), kMountA);
+  }
+
+  // A second mount's view of the same allocator and shm state.
+  BlockAllocator peer(std::uint64_t mount_token) {
+    auto b = BlockAllocator::attach(dev_, kHeaderOff);
+    b.attach_shared_state(shared_.get(), mount_token);
+    return b;
+  }
+
+  // Unused blocks parked in the slots of `mount_token`.
+  std::uint64_t reserved_by(std::uint64_t mount_token) const {
+    std::uint64_t n = 0;
+    for (const ShmReservation& slot : shared_->reservations)
+      if (slot.mount.load() == mount_token) n += slot.n.load();
+    return n;
+  }
 
   nvmm::Device dev_;
+  std::unique_ptr<ShmAllocShared> shared_;
   BlockAllocator alloc_;
 };
 
@@ -60,9 +96,12 @@ TEST_F(BlockAllocTest, DistinctAllocationsDontOverlap) {
 }
 
 TEST_F(BlockAllocTest, HintClustersIntoSegments) {
-  // Two different hints land in different segments (file spreading).
-  auto a = alloc_.alloc(1, 0 * kBlockSize);
-  auto b = alloc_.alloc(1, 3 * kBlockSize);
+  // Two different hints land in different segments (file spreading).  The
+  // requests are too large for a reservation, so each takes the direct
+  // path that the hint steers.
+  constexpr std::uint64_t n = BlockAllocator::kReserveServeMax + 1;
+  auto a = alloc_.alloc(n, 0 * kBlockSize);
+  auto b = alloc_.alloc(n, 3 * kBlockSize);
   ASSERT_TRUE(a.is_ok());
   ASSERT_TRUE(b.is_ok());
   const std::uint64_t per_seg =
@@ -88,6 +127,8 @@ TEST_F(BlockAllocTest, ExhaustionReturnsNoSpace) {
   nvmm::Device small(1 << 20);
   auto a = BlockAllocator::format(small, 4096, 64 * 1024,
                                   small.size() - 64 * 1024, 2);
+  auto shared = make_shared_state();
+  a.attach_shared_state(shared.get(), kMountA);
   // Free space is split across two segments; drain each segment's
   // contiguous range, then any further request must fail.
   const std::uint64_t total = a.free_blocks();
@@ -105,7 +146,7 @@ TEST_F(BlockAllocTest, OversizeRequestFailsCleanly) {
 TEST_F(BlockAllocTest, AttachSeesFormattedState) {
   auto r = alloc_.alloc(5, 0);
   ASSERT_TRUE(r.is_ok());
-  auto re = BlockAllocator::attach(dev_, kHeaderOff);
+  auto re = peer(kMountB);
   EXPECT_EQ(re.free_blocks(), alloc_.free_blocks());
   re.free(*r, 5);
   EXPECT_EQ(alloc_.free_blocks(), re.free_blocks());
@@ -187,18 +228,17 @@ TEST_F(BlockAllocTest, RebuildFreeListsFromMark) {
   EXPECT_TRUE(found);
 }
 
-// ---- thread-local reservations (data-path fast lane) ----
+// ---- per-thread shm reservations (data-path fast lane) ----
 
 TEST_F(BlockAllocTest, ReservationsKeepFreeAccountingExact) {
   const std::uint64_t total = alloc_.free_blocks();
-  alloc_.set_reserve_chunk(BlockAllocator::kDefaultReserveChunk);
   // First small alloc carves a whole chunk but only 1 block leaves the
   // free count: the carved-but-unused remainder still counts as free.
   auto a = alloc_.alloc(1, 0);
   ASSERT_TRUE(a.is_ok());
   EXPECT_EQ(alloc_.free_blocks(), total - 1);
   EXPECT_EQ(alloc_.reserved_unused_blocks(),
-            BlockAllocator::kDefaultReserveChunk - 1);
+            BlockAllocator::kReserveChunk - 1);
   auto b = alloc_.alloc(2, 0);
   ASSERT_TRUE(b.is_ok());
   EXPECT_EQ(alloc_.free_blocks(), total - 3);
@@ -212,7 +252,6 @@ TEST_F(BlockAllocTest, ReservationsKeepFreeAccountingExact) {
 }
 
 TEST_F(BlockAllocTest, ReservationServesAscendingContiguousBlocks) {
-  alloc_.set_reserve_chunk(BlockAllocator::kDefaultReserveChunk);
   // Consecutive 1-block allocs from one thread must be device-contiguous
   // and ascending — that is the whole point (appends merge into one
   // extent) and the opposite of the descending tail-carve of the direct
@@ -220,18 +259,17 @@ TEST_F(BlockAllocTest, ReservationServesAscendingContiguousBlocks) {
   auto first = alloc_.alloc(1, 0);
   ASSERT_TRUE(first.is_ok());
   std::uint64_t prev = *first;
-  for (std::uint64_t i = 1; i < BlockAllocator::kDefaultReserveChunk; ++i) {
+  for (std::uint64_t i = 1; i < BlockAllocator::kReserveChunk; ++i) {
     auto r = alloc_.alloc(1, 0);
     ASSERT_TRUE(r.is_ok());
     EXPECT_EQ(*r, prev + kBlockSize) << "allocation " << i;
     prev = *r;
   }
   EXPECT_GE(alloc_.stats().reserve_hits.load(),
-            BlockAllocator::kDefaultReserveChunk - 1);
+            BlockAllocator::kReserveChunk - 1);
 }
 
 TEST_F(BlockAllocTest, LargeRequestsBypassTheReservation) {
-  alloc_.set_reserve_chunk(BlockAllocator::kDefaultReserveChunk);
   const std::uint64_t total = alloc_.free_blocks();
   auto r = alloc_.alloc(BlockAllocator::kReserveServeMax + 1, 0);
   ASSERT_TRUE(r.is_ok());
@@ -241,12 +279,12 @@ TEST_F(BlockAllocTest, LargeRequestsBypassTheReservation) {
 }
 
 TEST_F(BlockAllocTest, InvalidateAndRebuildReclaimsReservedBlocks) {
-  alloc_.set_reserve_chunk(BlockAllocator::kDefaultReserveChunk);
   auto a = alloc_.alloc(1, 0);
   ASSERT_TRUE(a.is_ok());
   ASSERT_GT(alloc_.reserved_unused_blocks(), 0u);
-  // Crash: the DRAM reservation vanishes; recovery's sweep sees only the
-  // one block actually referenced and rebuilds the lists around it.
+  // Crash: the volatile reservation is forgotten; recovery's sweep sees
+  // only the one block actually referenced and rebuilds the lists around
+  // it.
   alloc_.rebuild_free_lists(
       [&](std::uint64_t off) { return off == *a; });
   EXPECT_EQ(alloc_.reserved_unused_blocks(), 0u);
@@ -254,7 +292,6 @@ TEST_F(BlockAllocTest, InvalidateAndRebuildReclaimsReservedBlocks) {
 }
 
 TEST_F(BlockAllocTest, ExitedThreadsReservationIsAdoptedOrDrained) {
-  alloc_.set_reserve_chunk(BlockAllocator::kDefaultReserveChunk);
   const std::uint64_t total = alloc_.free_blocks();
   std::thread t([&] {
     auto r = alloc_.alloc(1, 0);
@@ -262,8 +299,8 @@ TEST_F(BlockAllocTest, ExitedThreadsReservationIsAdoptedOrDrained) {
     alloc_.free(*r, 1);
   });
   t.join();
-  // The exited thread's remainder is still tracked (counted free), and a
-  // drain returns it to the lists for good.
+  // The exited thread's slot still holds its remainder under this mount's
+  // token (counted free), and the mount's drain returns it to the lists.
   EXPECT_EQ(alloc_.free_blocks(), total);
   EXPECT_GT(alloc_.reserved_unused_blocks(), 0u);
   alloc_.drain_reservations();
@@ -273,7 +310,6 @@ TEST_F(BlockAllocTest, ExitedThreadsReservationIsAdoptedOrDrained) {
 }
 
 TEST_F(BlockAllocTest, ConcurrentReservedAllocsNeverOverlap) {
-  alloc_.set_reserve_chunk(BlockAllocator::kDefaultReserveChunk);
   constexpr int kThreads = 8;
   constexpr int kPerThread = 300;
   std::vector<std::vector<std::uint64_t>> got(kThreads);
@@ -302,18 +338,60 @@ TEST_F(BlockAllocTest, ConcurrentReservedAllocsNeverOverlap) {
   EXPECT_EQ(alloc_.free_blocks(), alloc_.n_blocks_total() - all.size());
 }
 
-TEST_F(BlockAllocTest, DisablingReservationsDrainsThem) {
-  alloc_.set_reserve_chunk(BlockAllocator::kDefaultReserveChunk);
-  auto r = alloc_.alloc(1, 0);
-  ASSERT_TRUE(r.is_ok());
-  ASSERT_GT(alloc_.reserved_unused_blocks(), 0u);
-  alloc_.set_reserve_chunk(0);
-  EXPECT_EQ(alloc_.reserved_unused_blocks(), 0u);
-  // Back to the historical direct path.
-  const std::uint64_t before = alloc_.free_blocks();
-  auto d = alloc_.alloc(1, 0);
-  ASSERT_TRUE(d.is_ok());
-  EXPECT_EQ(alloc_.free_blocks(), before - 1);
+TEST_F(BlockAllocTest, TwoMountsShareOneShmStateWithoutDoubleHanding) {
+  // Two mounts' allocators over one device and one shm allocator block:
+  // concurrent alloc/free from both must never hand out a block twice, and
+  // a survivor's reclaim must return exactly the dead mount's remainders.
+  BlockAllocator other = peer(kMountB);
+  const std::uint64_t total = alloc_.free_blocks();
+  constexpr int kThreads = 4;  // even: mount A, odd: mount B
+  constexpr int kIters = 400;
+  std::mutex mu;
+  std::set<std::uint64_t> live;  // every block currently handed out
+  std::atomic<int> double_handed{0};
+  std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>> held(
+      kThreads);
+  std::vector<std::thread> ts;
+  for (int t = 0; t < kThreads; ++t)
+    ts.emplace_back([&, t] {
+      BlockAllocator& a = t % 2 == 0 ? alloc_ : other;
+      Rng rng(static_cast<std::uint64_t>(t) + 7);
+      for (int i = 0; i < kIters; ++i) {
+        if (!held[t].empty() && (held[t].size() > 16 || rng.below(3) == 0)) {
+          const auto [off, n] = held[t].back();
+          held[t].pop_back();
+          {
+            std::lock_guard<std::mutex> g(mu);
+            for (std::uint64_t b = 0; b < n; ++b)
+              live.erase(off + b * kBlockSize);
+          }
+          a.free(off, n);
+          continue;
+        }
+        const std::uint64_t n = 1 + rng.below(4);
+        auto r = a.alloc(n, rng.next());
+        ASSERT_TRUE(r.is_ok());
+        std::lock_guard<std::mutex> g(mu);
+        for (std::uint64_t b = 0; b < n; ++b)
+          if (!live.insert(*r + b * kBlockSize).second) ++double_handed;
+        held[t].emplace_back(*r, n);
+      }
+    });
+  for (auto& th : ts) th.join();
+  EXPECT_EQ(double_handed.load(), 0);
+  EXPECT_EQ(alloc_.free_blocks(), total - live.size());
+  EXPECT_EQ(other.free_blocks(), alloc_.free_blocks());
+
+  // Mount B dies holding a fresh chunk (this thread's first B carve).
+  ASSERT_TRUE(other.alloc(1, 0).is_ok());
+  const std::uint64_t dead = reserved_by(kMountB);
+  const std::uint64_t survivor = reserved_by(kMountA);
+  ASSERT_GE(dead, BlockAllocator::kReserveChunk - 1);
+  EXPECT_EQ(alloc_.reclaim_mount_reservations(kMountB), dead);
+  EXPECT_EQ(reserved_by(kMountB), 0u);
+  EXPECT_EQ(reserved_by(kMountA), survivor);  // peers' chunks untouched
+  EXPECT_EQ(alloc_.reserved_unused_blocks(), survivor);
+  EXPECT_EQ(alloc_.free_blocks(), total - live.size() - 1);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Directory hash-block protocol tests (Figs. 4-5), below the POSIX layer.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <string>
 
@@ -14,6 +15,7 @@ class DirBlockTest : public ::testing::Test {
  protected:
   DirBlockTest()
       : dev_(128ull << 20),
+        shared_(std::make_unique<alloc::ShmAllocShared>()),
         blocks_(alloc::BlockAllocator::format(dev_, 4096, 64 * 1024,
                                               dev_.size() - 64 * 1024, 8)),
         fentries_(alloc::ObjectAllocator::format(dev_, blocks_, 8192,
@@ -23,6 +25,12 @@ class DirBlockTest : public ::testing::Test {
         inodes_(alloc::ObjectAllocator::format(dev_, blocks_, 8704,
                                                kInodePayload, 512)),
         ops_(dev_, DirOps::Pools{&fentries_, &dirblocks_}) {
+    // The allocators' volatile state lives in shm, as under a mount.
+    shared_->reset();
+    blocks_.attach_shared_state(shared_.get(), kMountToken);
+    fentries_.attach_shared_cache(&shared_->obj_stacks[0], kMountToken);
+    dirblocks_.attach_shared_cache(&shared_->obj_stacks[1], kMountToken);
+    inodes_.attach_shared_cache(&shared_->obj_stacks[2], kMountToken);
     auto ino = inodes_.alloc();
     EXPECT_TRUE(ino.is_ok());
     dir_off_ = *ino;
@@ -46,7 +54,10 @@ class DirBlockTest : public ::testing::Test {
     return *fe_off;
   }
 
+  static constexpr std::uint64_t kMountToken = 0x1001;
+
   nvmm::Device dev_;
+  std::unique_ptr<alloc::ShmAllocShared> shared_;
   alloc::BlockAllocator blocks_;
   alloc::ObjectAllocator fentries_;
   alloc::ObjectAllocator dirblocks_;
@@ -85,6 +96,25 @@ TEST_F(DirBlockTest, RemoveReturnsInodeAndFreesEntry) {
   EXPECT_EQ(*r, 0xabcdu);
   EXPECT_EQ(ops_.lookup(*dir_, "gone").code(), Errc::not_found);
   EXPECT_EQ(fentries_.flags_of(fe), 0u);  // fully freed
+}
+
+// A lock-free lookup that meets a mid-delete entry skips it but leaves the
+// slot alone: a reader's view can be stale by the time it acts (the entry
+// freed, recycled and republished under the same slot word), so only a
+// line-lock holder finishes the delete — here, insert's existence probe.
+TEST_F(DirBlockTest, LookupSkipsMidDeleteEntryWithoutScrubbing) {
+  const std::uint64_t fe = make_entry("dying");
+  ASSERT_TRUE(ops_.insert(*dir_, "dying", fe).is_ok());
+  fentries_.commit(fe);
+  fentries_.set_flags(fe, alloc::kObjDirty);  // delete stalled after step 2
+  EXPECT_EQ(ops_.lookup(*dir_, "dying").code(), Errc::not_found);
+  EXPECT_EQ(fentries_.flags_of(fe), alloc::kObjDirty);
+  const std::uint64_t again = make_entry("dying");
+  ASSERT_TRUE(ops_.insert(*dir_, "dying", again).is_ok());
+  EXPECT_EQ(fentries_.flags_of(fe), 0u);  // the locked probe finished it
+  auto r = ops_.lookup(*dir_, "dying");
+  ASSERT_TRUE(r.is_ok());
+  EXPECT_EQ(*r, again);
 }
 
 TEST_F(DirBlockTest, RemoveMissingFails) {

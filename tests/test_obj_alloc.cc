@@ -1,26 +1,50 @@
 // Tests for the two-bit metadata object allocator (§4.2).
+//
+// Every allocator here runs with a ShmAllocShared attached under a nonzero
+// mount token — the configuration a mounted file system runs: block
+// reservations in shm slots, free-object hints in the shared stack.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "alloc/obj_alloc.h"
 #include "common/failpoint.h"
+#include "common/rng.h"
 
 namespace simurgh::alloc {
 namespace {
+
+constexpr std::uint64_t kMountA = 0x1001;
+constexpr std::uint64_t kMountB = 0x2003;
+constexpr std::uint64_t kPoolOff = 8192;
 
 class ObjAllocTest : public ::testing::Test {
  protected:
   ObjAllocTest()
       : dev_(64ull << 20),
+        shared_(std::make_unique<ShmAllocShared>()),
         blocks_(BlockAllocator::format(dev_, 4096, 64 * 1024,
                                        dev_.size() - 64 * 1024, 4)),
-        pool_(ObjectAllocator::format(dev_, blocks_, 8192, 120, 64)) {}
+        pool_(ObjectAllocator::format(dev_, blocks_, kPoolOff, 120, 64)) {
+    shared_->reset();  // fresh stack epoch, as a newly formatted shm header
+    blocks_.attach_shared_state(shared_.get(), kMountA);
+    pool_.attach_shared_cache(&shared_->obj_stacks[0], kMountA);
+  }
+
+  // A second mount's view of the pool, sharing the shm state.
+  ObjectAllocator peer_pool(BlockAllocator& blocks, std::uint64_t token) {
+    auto p = ObjectAllocator::attach(dev_, blocks, kPoolOff);
+    p.attach_shared_cache(&shared_->obj_stacks[0], token);
+    return p;
+  }
 
   nvmm::Device dev_;
+  std::unique_ptr<ShmAllocShared> shared_;
   BlockAllocator blocks_;
   ObjectAllocator pool_;
 };
@@ -81,7 +105,7 @@ TEST_F(ObjAllocTest, AttachFindsExistingObjects) {
   auto a = pool_.alloc();
   ASSERT_TRUE(a.is_ok());
   pool_.commit(*a);
-  auto re = ObjectAllocator::attach(dev_, blocks_, 8192);
+  auto re = peer_pool(blocks_, kMountB);
   EXPECT_EQ(re.flags_of(*a), kObjValid);
   EXPECT_EQ(re.payload_size(), 120u);
   // New allocations from the re-attached pool avoid the live object.
@@ -160,6 +184,52 @@ TEST_F(ObjAllocTest, DropVolatileCacheStillAllocates) {
   auto b = pool_.alloc();  // forces a refill scan
   ASSERT_TRUE(b.is_ok());
   EXPECT_NE(*a, *b);
+}
+
+TEST_F(ObjAllocTest, TwoMountsShareOneShmStateWithoutDoubleHanding) {
+  // Two mounts — each its own block and object allocator over the same
+  // device, one shm allocator block — allocate and free concurrently.  An
+  // object must never be handed out while another holder still has it.
+  auto other_blocks = BlockAllocator::attach(dev_, 4096);
+  other_blocks.attach_shared_state(shared_.get(), kMountB);
+  ObjectAllocator other = peer_pool(other_blocks, kMountB);
+  constexpr int kThreads = 4;  // even: mount A, odd: mount B
+  constexpr int kIters = 600;
+  std::mutex mu;
+  std::set<std::uint64_t> live;
+  std::atomic<int> double_handed{0};
+  std::vector<std::thread> ts;
+  for (int t = 0; t < kThreads; ++t)
+    ts.emplace_back([&, t] {
+      ObjectAllocator& pool = t % 2 == 0 ? pool_ : other;
+      Rng rng(static_cast<std::uint64_t>(t) + 3);
+      std::vector<std::uint64_t> mine;
+      for (int i = 0; i < kIters; ++i) {
+        if (!mine.empty() && (mine.size() > 32 || rng.below(3) == 0)) {
+          const std::uint64_t off = mine.back();
+          mine.pop_back();
+          {
+            std::lock_guard<std::mutex> g(mu);
+            live.erase(off);
+          }
+          pool.free(off);
+          continue;
+        }
+        auto r = pool.alloc();
+        ASSERT_TRUE(r.is_ok());
+        pool.commit(*r);
+        mine.push_back(*r);
+        std::lock_guard<std::mutex> g(mu);
+        if (!live.insert(*r).second) ++double_handed;
+      }
+    });
+  for (auto& th : ts) th.join();
+  EXPECT_EQ(double_handed.load(), 0);
+  std::size_t valid = 0;
+  pool_.scan([&](std::uint64_t, std::uint32_t flags) {
+    if (flags == kObjValid) ++valid;
+  });
+  EXPECT_EQ(valid, live.size());
 }
 
 }  // namespace

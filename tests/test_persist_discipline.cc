@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <set>
 #include <string>
 
@@ -101,6 +102,10 @@ TEST(PersistDisciplinePool, GrowFlushesZeroedObjectHeaders) {
   auto blocks = alloc::BlockAllocator::format(dev, 4096, 64 * 1024,
                                               dev.size() - 64 * 1024, 1);
   auto pool = alloc::ObjectAllocator::format(dev, blocks, 8192, 120, 64);
+  auto shared = std::make_unique<alloc::ShmAllocShared>();
+  shared->reset();
+  blocks.attach_shared_state(shared.get(), 0x1001);
+  pool.attach_shared_cache(&shared->obj_stacks[0], 0x1001);
   nvmm::ShadowLog log(dev);
   log.start();
   auto r = pool.alloc();  // first alloc grows a segment from dirty blocks

@@ -21,6 +21,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -243,6 +244,51 @@ TEST_F(WriteBehindTest, SparseStagedWriteReadsZerosBelow) {
   EXPECT_EQ(got.substr(100), "tail");
   wb_->commit_epoch_now();
   EXPECT_EQ(read_all("/f"), got);
+  ASSERT_TRUE(p().close(fd).is_ok());
+}
+
+// A read racing the group commit of its own staged record.  The drain has
+// streamed the record's bytes into NVMM but not yet stamped the size; the
+// reader, under its SharedFileLock, samples the old size and zero-fills
+// past it.  Neither the size stamp nor the epoch's retire may land before
+// that reader overlays the staged range, or the acked record reads back as
+// zeros.  Holding the journal lock parks the drain between its data and
+// stamp steps; the block below replays do_read's order with a wide window.
+TEST_F(WriteBehindTest, ReadRacingTheDrainStampStillSeesStagedBytes) {
+  const int fd = open_rw("/f");
+  ASSERT_TRUE(p().set_durability("/f", Durability::group).is_ok());
+  const std::string rec = pattern('r', 4096);
+  ASSERT_TRUE(p().pwrite(fd, rec.data(), rec.size(), 0).is_ok());
+  const std::uint64_t ino_off = p().stat("/f")->inode;
+  const core::Inode* ino = fs_->inode_at(ino_off);
+
+  auto& j = *reinterpret_cast<core::WbJournal*>(nvmm_->at(core::kWbJournalOff));
+  // A live peer's journal lock: its stamp lies far in the future, so the
+  // lease never reads as expired.
+  j.lock_stamp_ns.store(~0ull >> 2, std::memory_order_release);
+  j.lock_token.store(0xfeed, std::memory_order_release);
+  std::thread drainer([&] { wb_->commit_epoch_now(); });
+  // Time for the drain to stream the data and park on the journal lock.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  std::string got(rec.size(), '\x01');
+  {
+    core::SharedFileLock lock(fs_->file_locks(),
+                              fs_->file_locks().slot_for(ino_off));
+    EXPECT_EQ(ino->size.load(std::memory_order_acquire), 0u);
+    EXPECT_EQ(wb_->staged_size_of(ino_off), rec.size());
+    std::memset(got.data(), 0, got.size());  // zero-fill past the old size
+    j.lock_token.store(0, std::memory_order_release);  // let the drain run
+    // Long enough for an unblocked drain to finish, well inside the file
+    // lock's 100 ms lease (past it the drain may steal the lock).
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    wb_->overlay_read(ino_off, got.data(), got.size(), 0);
+  }
+  drainer.join();
+  EXPECT_TRUE(got == rec)
+      << "staged record lost between size sample and overlay";
+  EXPECT_EQ(p().stat("/f")->size, rec.size());
+  EXPECT_EQ(read_all("/f"), rec);
   ASSERT_TRUE(p().close(fd).is_ok());
 }
 
