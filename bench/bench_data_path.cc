@@ -34,6 +34,7 @@
 
 #include "bench_env.h"
 #include "core/fs.h"
+#include "harness/runner.h"
 
 using namespace simurgh;
 
@@ -41,22 +42,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-bool smoke_mode() {
-  const char* s = std::getenv("SIMURGH_BENCH_SMOKE");
-  return s != nullptr && std::string_view(s) != "0";
-}
-
 double ns_per_op(Clock::time_point a, Clock::time_point b, std::uint64_t n) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count() /
          static_cast<double>(n);
-}
-
-// Median across reps — the gating statistic every BENCH_*.json uses (a
-// best-of-reps min rewards one lucky scheduling window; the median is what
-// a re-run actually reproduces).
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
 }
 
 struct PersistDelta {
@@ -187,7 +175,7 @@ int main() {
   // DAX mapping.  Keeps this bench's strict numbers comparable with the
   // write-behind bench's strict arm.  SIMURGH_NVMM_OPTANE=0 overrides.
   setenv("SIMURGH_NVMM_OPTANE", "1", 0);
-  const bool smoke = smoke_mode();
+  const bool smoke = bench::bench_smoke();
   const std::uint64_t ops = smoke ? 64 : 8192;
   const std::uint64_t mt_ops = smoke ? 64 : 2048;
   const int reps = smoke ? 1 : 5;

@@ -24,7 +24,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <random>
 #include <string>
@@ -34,6 +33,7 @@
 #include "bench_env.h"
 #include "core/dir_block.h"
 #include "core/fs.h"
+#include "harness/runner.h"
 
 using namespace simurgh;
 
@@ -140,11 +140,6 @@ double run_threads(unsigned n_threads, std::uint64_t base, int iters) {
   return static_cast<double>(total) / secs;
 }
 
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
-
 struct EntryPoint {
   std::uint64_t entries = 0;
   ArmSample split, presplit;       // median rep (by combined rate)
@@ -165,9 +160,7 @@ ArmSample median_sample(const std::vector<ArmSample>& reps) {
 }  // namespace
 
 int main() {
-  const char* smoke_env = std::getenv("SIMURGH_BENCH_SMOKE");
-  const bool smoke =
-      smoke_env != nullptr && smoke_env[0] != '\0' && smoke_env[0] != '0';
+  const bool smoke = bench::bench_smoke();
   const int reps = smoke ? 1 : 3;
   const std::vector<std::uint64_t> entry_sweep =
       smoke ? std::vector<std::uint64_t>{1'000}

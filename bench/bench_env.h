@@ -1,4 +1,5 @@
-// Host-environment stamp shared by every BENCH_*.json writer.
+// Host-environment stamp and rep statistic shared by every BENCH_*.json
+// writer.
 //
 // Perf numbers are only comparable against numbers from the same class of
 // machine, so each result file records where it was produced: the CPU count
@@ -9,8 +10,10 @@
 
 #include <sys/utsname.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <thread>
+#include <vector>
 
 namespace simurgh {
 
@@ -27,6 +30,14 @@ inline void bench_env_fields(std::FILE* out) {
                std::thread::hardware_concurrency(),
                have ? u.sysname : "unknown", have ? u.release : "unknown",
                have ? u.machine : "unknown");
+}
+
+// Median across reps — the gating statistic every BENCH_*.json uses (a
+// best-of-reps min rewards one lucky scheduling window; the median is what
+// a re-run actually reproduces).  Even counts take the upper middle.
+inline double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
 }
 
 }  // namespace simurgh

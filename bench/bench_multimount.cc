@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -32,6 +31,7 @@
 
 #include "bench_env.h"
 #include "core/fs.h"
+#include "harness/runner.h"
 
 using namespace simurgh;
 
@@ -114,11 +114,6 @@ Sample run_scale(unsigned n_mounts, int iters) {
   return s;
 }
 
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
-
 struct Point {
   unsigned mounts;
   double ops_per_sec;      // median rep
@@ -129,9 +124,7 @@ struct Point {
 }  // namespace
 
 int main() {
-  const char* smoke_env = std::getenv("SIMURGH_BENCH_SMOKE");
-  const bool smoke =
-      smoke_env != nullptr && smoke_env[0] != '\0' && smoke_env[0] != '0';
+  const bool smoke = bench::bench_smoke();
   const int iters = smoke ? 50 : 20000;
   const int reps = smoke ? 1 : 5;
   const std::vector<unsigned> mount_counts = {1u, 2u, 4u, 8u, 16u};

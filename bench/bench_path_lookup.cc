@@ -8,13 +8,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_env.h"
 #include "core/fs.h"
+#include "harness/runner.h"
 
 using namespace simurgh;
 
@@ -67,9 +67,7 @@ int main() {
   }
 
   // Smoke mode (CI's bench-smoke label) only proves the binary runs.
-  const char* smoke_env = std::getenv("SIMURGH_BENCH_SMOKE");
-  const bool smoke =
-      smoke_env != nullptr && smoke_env[0] != '\0' && smoke_env[0] != '0';
+  const bool smoke = bench::bench_smoke();
   const int iters = smoke ? 50 : 2000;  // x64 paths = 128k stats per arm
   // Best-of-N, interleaved to defeat drift.  Smoke keeps the full rep count:
   // each rep is well under a millisecond there, and a single sample is noisy

@@ -18,18 +18,17 @@
 // Run FROM THE REPO ROOT; writes BENCH_service.json to the cwd.
 // SIMURGH_BENCH_SMOKE=1 shrinks the loops and skips the gate (CI liveness
 // only); the full run exits non-zero when a ratio exceeds 1.15.
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench_env.h"
 #include "core/fs.h"
+#include "harness/runner.h"
 
 using namespace simurgh;
 
@@ -39,21 +38,9 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kBlock = 4096;
 
-bool smoke_mode() {
-  const char* s = std::getenv("SIMURGH_BENCH_SMOKE");
-  return s != nullptr && std::string_view(s) != "0";
-}
-
 double ns_per_op(Clock::time_point a, Clock::time_point b, std::uint64_t n) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count() /
          static_cast<double>(n);
-}
-
-// Median across reps — same gating statistic as every other BENCH_*.json (a
-// best-of-reps min rewards one lucky scheduling window).
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
 }
 
 struct World {
@@ -136,7 +123,7 @@ ArmResult run_arm(bool service, std::uint64_t ops, int reps,
 }  // namespace
 
 int main() {
-  const bool smoke = smoke_mode();
+  const bool smoke = bench::bench_smoke();
   const std::uint64_t ops = smoke ? 64 : 20'000;
   const int reps = smoke ? 2 : 5;
   const std::uint64_t file_blocks = smoke ? 16 : 1024;  // 64 KB / 4 MB file

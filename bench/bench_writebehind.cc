@@ -1,17 +1,12 @@
 // Write-behind tier benchmark (core/write_behind.h): wall-clock latency and
-// throughput of the write+fsync hot loop across the three durability
-// classes, at 256 B and 4 KB blocks, 1 and 4 threads, with the group-commit
+// throughput of the write+fsync hot loop in both durability classes, at
+// 256 B and 4 KB blocks, 1 and 4 threads, with the group-commit
 // interval pinned to the paper-shaped T = 100 µs.
 //
 //   strict  every op pays nt-copy + fence + size stamp before returning
 //   group   ops ack from the DRAM staging tier; fsync is absorbed into the
 //           epoch cadence (fsyncs_absorbed per op is reported — it should
 //           be ~1.0: every fsync folded into the 100 µs group commit)
-//   async   staged writes, but fsync FORCES the epoch — a write+fsync loop
-//           is this class's worst case by design: every op pays the full
-//           epoch commit protocol (journal arm + stamps + its fences), so
-//           it lands at or below strict.  async wins on plain writes with
-//           occasional fsync, not on this loop.
 //
 // The bench enables the nvmm Optane wall-clock timing model (persist.h):
 // with the counter-only emulation a fence is free, so strict-vs-staged
@@ -26,7 +21,6 @@
 // throughput is >= 3x strict (the tier's headline acceptance bar).
 //
 // SIMURGH_BENCH_SMOKE=1 shrinks the loops and always exits 0.
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -40,6 +34,7 @@
 #include "bench_env.h"
 #include "core/fs.h"
 #include "core/write_behind.h"
+#include "harness/runner.h"
 
 using namespace simurgh;
 
@@ -47,20 +42,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-bool smoke_mode() {
-  const char* s = std::getenv("SIMURGH_BENCH_SMOKE");
-  return s != nullptr && std::string_view(s) != "0";
-}
-
 double ns_per_op(Clock::time_point a, Clock::time_point b, std::uint64_t n) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count() /
          static_cast<double>(n);
-}
-
-// Median across reps — the gating statistic every BENCH_*.json uses.
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
 }
 
 struct World {
@@ -159,7 +143,6 @@ const char* cls_name(core::Durability d) {
   switch (d) {
     case core::Durability::strict: return "strict";
     case core::Durability::group: return "group";
-    case core::Durability::async: return "async";
   }
   return "?";
 }
@@ -180,12 +163,11 @@ int main() {
   // Before any persist-primitive call: the model config is latched at first
   // use.  setenv with overwrite=0 keeps an explicit user override in force.
   setenv("SIMURGH_NVMM_OPTANE", "1", 0);
-  const bool smoke = smoke_mode();
+  const bool smoke = bench::bench_smoke();
   const std::uint64_t ops = smoke ? 48 : 4096;
   const int reps = smoke ? 1 : 5;
-  const std::vector<core::Durability> classes = {
-      core::Durability::strict, core::Durability::group,
-      core::Durability::async};
+  const std::vector<core::Durability> classes = {core::Durability::strict,
+                                                core::Durability::group};
   const std::vector<std::size_t> blocks = {256, 4096};
   const std::vector<int> threads = smoke ? std::vector<int>{1}
                                          : std::vector<int>{1, 4};

@@ -312,9 +312,11 @@ DirOps::SlotRef DirOps::find_slot_in(DirBlock* head, unsigned ln,
           continue;
         }
         // A remove that raced the compare may have freed (and a create
-        // recycled) the entry; only a slot still holding `v` vouches for it.
+        // recycled) the entry; only a slot still holding `v` vouches for
+        // it — and for the inode read before the re-check.
+        const std::uint64_t inode = fe->inode.load().raw();
         if (slot.v.load(std::memory_order_acquire) != v) continue;
-        return {blk, &slot, v};
+        return {blk, &slot, v, inode};
       }
     }
   }
@@ -372,7 +374,8 @@ Result<DirOps::SlotRef> DirOps::free_slot_in(DirBlock* head, unsigned ln) {
   return SlotRef{new_blk.in(dev_), &new_blk.in(dev_)->lines[ln].slots[0]};
 }
 
-Result<std::uint64_t> DirOps::lookup(Inode& dir, std::string_view name) const {
+Result<std::uint64_t> DirOps::lookup(Inode& dir, std::string_view name,
+                                     std::uint64_t* inode_out) const {
   if (name.empty() || name.size() > kMaxName) return Errc::invalid;
   const unsigned ln = line_of(name);
   const std::uint16_t tag = tag_of_name(name);
@@ -380,6 +383,7 @@ Result<std::uint64_t> DirOps::lookup(Inode& dir, std::string_view name) const {
   // scale; consistency comes from the publication order of slots).
   SlotRef ref = find_slot(dir, ln, name, tag, /*locked=*/false);
   if (ref.slot == nullptr) return Errc::not_found;
+  if (inode_out != nullptr) *inode_out = ref.inode;
   return DirSlot::off_of(ref.v);
 }
 

@@ -220,8 +220,12 @@ class DirOps {
 
   DirOps(nvmm::Device& dev, Pools pools) : dev_(dev), pools_(pools) {}
 
-  // Lock-free lookup; completes interrupted deletes it trips over.
-  Result<std::uint64_t> lookup(Inode& dir, std::string_view name) const;
+  // Lock-free lookup of `name`'s file entry.  `inode_out`, when given,
+  // receives the inode offset the entry held during the same validated
+  // probe: reading it from the entry afterwards could see a remove +
+  // create that recycled the entry, i.e. a foreign inode.
+  Result<std::uint64_t> lookup(Inode& dir, std::string_view name,
+                               std::uint64_t* inode_out = nullptr) const;
 
   // Inserts `name` -> fentry_off (both already persisted by the caller,
   // Fig. 5a steps 1-2).  Fails with Errc::exists.
@@ -281,7 +285,7 @@ class DirOps {
 
   // Split policy: split once the anchor chain exceeds `threshold_blocks`
   // blocks, into 2^bucket_bits buckets.  bucket_bits == 0 disables
-  // splitting (the benches' unsplit A/B arm; also SIMURGH_DIR_SPLIT=0).
+  // splitting (the benches' unsplit A/B arm).
   void set_split_params(std::uint64_t threshold_blocks,
                         unsigned bucket_bits) noexcept {
     split_threshold_ = threshold_blocks == 0 ? 1 : threshold_blocks;
@@ -433,14 +437,17 @@ class DirOps {
   // (interrupted delete); a lock-free reader only skips them.
   //
   // `v` is the slot word the probe validated: its tag matched, its entry
-  // carried `name`, and the slot still held it after the name compare.
-  // Lock-free readers must use `v`, never reload the slot — a concurrent
-  // remove may zero or recycle it the instant the probe returns.  Under
-  // the line lock the slot cannot change, so `v` is also the current word.
+  // carried `name`, and the slot still held it after the name compare and
+  // the read of `inode` (the entry's inode offset).  Lock-free readers must
+  // use `v` and `inode`, never reload the slot or the entry — a concurrent
+  // remove may zero or recycle either the instant the probe returns.
+  // Under the line lock the slot cannot change, so `v` is also the current
+  // word.
   struct SlotRef {
     DirBlock* block = nullptr;
     DirSlot* slot = nullptr;
     std::uint64_t v = 0;
+    std::uint64_t inode = 0;
   };
   SlotRef find_slot(Inode& dir, unsigned ln, std::string_view name,
                     std::uint16_t tag, bool locked = true) const;

@@ -89,61 +89,15 @@ std::uint64_t pool_header_off(unsigned i) {
 }
 }  // namespace
 
-// Builds the lookup cache + walker pair, honouring the env switches
-// (SIMURGH_LOOKUP_CACHE=0|off disables, SIMURGH_LOOKUP_CACHE_SLOTS sizes).
+// Builds the lookup cache + walker pair and the extent cache, each at its
+// default size and enabled (the set_*_enabled switches A/B them later).
 void FileSystem::make_walker() {
-  bool enabled = true;
-  if (const char* s = std::getenv("SIMURGH_LOOKUP_CACHE")) {
-    const std::string_view v(s);
-    if (v == "0" || v == "off" || v == "false") enabled = false;
-  }
-  std::size_t slots = LookupCache::kDefaultSlots;
-  if (const char* s = std::getenv("SIMURGH_LOOKUP_CACHE_SLOTS")) {
-    const long n = std::strtol(s, nullptr, 10);
-    if (n > 0) slots = static_cast<std::size_t>(n);
-  }
-  lookup_cache_ = std::make_unique<LookupCache>(slots);
-  // The whole-path table holds one entry per hot path, not per component;
-  // a quarter of the component-slot count keeps it proportionate when
-  // SIMURGH_LOOKUP_CACHE_SLOTS resizes both.
-  path_cache_ = std::make_unique<PathCache>(
-      slots == LookupCache::kDefaultSlots ? PathCache::kDefaultSlots
-                                          : slots / 4);
-  walker_ = std::make_unique<PathWalker>(
-      *dev_, *dirops_, root_off_, enabled ? lookup_cache_.get() : nullptr,
-      enabled ? path_cache_.get() : nullptr);
-
-  // Data-path fast lane: the DRAM extent cache (SIMURGH_EXTENT_CACHE=0|off
-  // disables, SIMURGH_EXTENT_CACHE_SLOTS sizes) ...
-  extent_cache_on_ = true;
-  if (const char* s = std::getenv("SIMURGH_EXTENT_CACHE")) {
-    const std::string_view v(s);
-    if (v == "0" || v == "off" || v == "false") extent_cache_on_ = false;
-  }
-  std::size_t ext_slots = ExtentCache::kDefaultSlots;
-  if (const char* s = std::getenv("SIMURGH_EXTENT_CACHE_SLOTS")) {
-    const long n = std::strtol(s, nullptr, 10);
-    if (n > 0) ext_slots = static_cast<std::size_t>(n);
-  }
-  extent_cache_ = std::make_unique<ExtentCache>(ext_slots);
-
-  // Giant-directory fan-out A/B switch: SIMURGH_DIR_SPLIT=0|off pins every
-  // directory to a single chain (the pre-split layout); the benches use it
-  // to measure the fan-out win.  SIMURGH_DIR_SPLIT_THRESHOLD=<blocks>
-  // tunes when a chain fans out (tests shrink it to split tiny dirs).
-  {
-    unsigned bits = dirops_->split_bits();
-    if (const char* s = std::getenv("SIMURGH_DIR_SPLIT")) {
-      const std::string_view v(s);
-      if (v == "0" || v == "off" || v == "false") bits = 0;
-    }
-    std::uint64_t threshold = 4;
-    if (const char* s = std::getenv("SIMURGH_DIR_SPLIT_THRESHOLD")) {
-      const long n = std::strtol(s, nullptr, 10);
-      if (n > 0) threshold = static_cast<std::uint64_t>(n);
-    }
-    dirops_->set_split_params(threshold, bits);
-  }
+  lookup_cache_ = std::make_unique<LookupCache>();
+  path_cache_ = std::make_unique<PathCache>();
+  walker_ = std::make_unique<PathWalker>(*dev_, *dirops_, root_off_,
+                                         lookup_cache_.get(),
+                                         path_cache_.get());
+  extent_cache_ = std::make_unique<ExtentCache>();
 }
 
 std::unique_ptr<FileSystem> FileSystem::format(nvmm::Device& nvmm,
@@ -232,19 +186,9 @@ std::unique_ptr<FileSystem> FileSystem::format(nvmm::Device& nvmm,
   fs->make_walker();
   fs->make_write_behind();
   fs->register_protected_functions();
-  fs->make_integrity();
+  fs->scrub_ = std::make_unique<Scrubber>(*fs);
   fs->coord_ready_.store(true, std::memory_order_release);
   return fs;
-}
-
-// Scrubber construction + SIMURGH_VERIFY_READS honoring, shared by
-// format() and mount().  crc_ must already be attached.
-void FileSystem::make_integrity() {
-  scrub_ = std::make_unique<Scrubber>(*this);
-  if (const char* s = std::getenv("SIMURGH_VERIFY_READS")) {
-    const std::string_view v(s);
-    verify_reads_ = v == "1" || v == "on" || v == "true";
-  }
 }
 
 std::unique_ptr<FileSystem> FileSystem::mount(nvmm::Device& nvmm,
@@ -308,7 +252,7 @@ std::unique_ptr<FileSystem> FileSystem::mount(nvmm::Device& nvmm,
   // (there is no staged state yet; the journal roll-forward inside recover()
   // does not need the tier).
   fs->make_write_behind();
-  fs->make_integrity();
+  fs->scrub_ = std::make_unique<Scrubber>(*fs);
   for (unsigned i = 0; i < kCacheGenShards; ++i)
     fs->shard_gen_seen_[i].store(
         sb.cache_shards[i].gen.load(std::memory_order_acquire),
@@ -321,8 +265,8 @@ std::unique_ptr<FileSystem> FileSystem::mount(nvmm::Device& nvmm,
 
 void FileSystem::unmount() {
   if (unmounted_) return;
-  // Everything staged becomes durable before detach — group AND async — and
-  // the persister stops while every component it drains through is alive.
+  // Everything staged becomes durable before detach, and the persister
+  // stops while every component it drains through is alive.
   if (wb_) {
     wb_->drain_all();
     wb_.reset();
@@ -550,31 +494,12 @@ Status FileSystem::enable_service_mode() {
 
 bool FileSystem::service_mode() const noexcept { return meta_ != nullptr; }
 
-// Honours SIMURGH_WRITEBEHIND=0|off (tier disabled: every file strict) plus
-// the cadence/cap knobs; called once the data-path components exist.
+// Called once the data-path components exist.
 void FileSystem::make_write_behind() {
-  bool enabled = true;
-  if (const char* s = std::getenv("SIMURGH_WRITEBEHIND")) {
-    const std::string_view v(s);
-    if (v == "0" || v == "off" || v == "false") enabled = false;
-  }
-  if (!enabled) {
-    wb_.reset();
-    return;
-  }
   WriteBehind::Config cfg;
-  if (const char* s = std::getenv("SIMURGH_WRITEBEHIND_INTERVAL_US")) {
-    const long n = std::strtol(s, nullptr, 10);
-    if (n > 0) cfg.interval_us = static_cast<std::uint64_t>(n);
-  }
-  if (const char* s = std::getenv("SIMURGH_WRITEBEHIND_EPOCH_BYTES")) {
-    const long long n = std::strtoll(s, nullptr, 10);
-    if (n > 0) cfg.epoch_bytes = static_cast<std::uint64_t>(n);
-  }
-  if (const char* s = std::getenv("SIMURGH_WRITEBEHIND_STAGE_BYTES")) {
-    const long long n = std::strtoll(s, nullptr, 10);
-    if (n > 0) cfg.max_staged_bytes = static_cast<std::uint64_t>(n);
-  }
+  // The one environment knob: the crash-image harness needs every persist
+  // on the sealing thread from the first epoch on, and format()/mount()
+  // start the persister before any setter could reach the new mount.
   if (const char* s = std::getenv("SIMURGH_WRITEBEHIND_SYNC_DRAIN")) {
     const std::string_view v(s);
     cfg.sync_drain = v == "1" || v == "on" || v == "true";
@@ -583,10 +508,6 @@ void FileSystem::make_write_behind() {
 }
 
 Status FileSystem::apply_durability(std::uint64_t ino_off, Durability d) {
-  // Tier disabled: every file is strict; asking for strict is a no-op
-  // success, asking for a relaxed class silently keeps strict semantics
-  // (strictly stronger durability than requested).
-  if (wb_ == nullptr) return Status::ok();
   if (d == Durability::strict) {
     // Downgrade: staged acked writes must become durable under the old
     // class's contract before strict semantics take over.

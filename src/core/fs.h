@@ -256,10 +256,10 @@ class FileSystem {
   void set_lease_ns(std::uint64_t ns);
 
   // ---- write-behind tier (write_behind.h) ----
-  // nullptr when disabled (SIMURGH_WRITEBEHIND=0): every file is strict.
+  // Present from format()/mount() until unmount().
   [[nodiscard]] WriteBehind* write_behind() noexcept { return wb_.get(); }
   // Binds a durability class to an inode; a downgrade to strict flushes the
-  // inode's staged ranges first.  No-op success when the tier is disabled.
+  // inode's staged ranges first.
   Status apply_durability(std::uint64_t ino_off, Durability d);
 
   // ---- metadata-service mode (core/svc_ring.h) ----
@@ -276,9 +276,9 @@ class FileSystem {
   // ---- integrity layer (core/integrity.h, core/scrub.h) ----
   [[nodiscard]] CrcTable& crc() noexcept { return crc_; }
   // verify_reads mode: do_read recomputes each touched block's CRC32C and
-  // fails with Errc::io on a mismatch.  Also honours SIMURGH_VERIFY_READS=1
-  // at format/mount.  Incompatible with relaxed writes (unlocked writers
-  // legitimately leave entry and bytes out of step mid-write).
+  // fails with Errc::io on a mismatch.  Off by default.  Incompatible with
+  // relaxed writes (unlocked writers legitimately leave entry and bytes out
+  // of step mid-write).
   void set_verify_reads(bool on) noexcept { verify_reads_ = on; }
   [[nodiscard]] bool verify_reads() const noexcept { return verify_reads_; }
   void note_crc_failure() noexcept {
@@ -307,8 +307,7 @@ class FileSystem {
                           std::size_t n, std::uint64_t off);
 
   // Path-lookup cache A/B switch (benches, tests); toggles both the
-  // per-component cache and the whole-path fast layer.  Construction
-  // honours SIMURGH_LOOKUP_CACHE=0|off and SIMURGH_LOOKUP_CACHE_SLOTS=<n>.
+  // per-component cache and the whole-path fast layer (on by default).
   void set_lookup_cache_enabled(bool enabled) noexcept {
     walker_->set_cache(enabled ? lookup_cache_.get() : nullptr);
     walker_->set_path_cache(enabled ? path_cache_.get() : nullptr);
@@ -321,8 +320,7 @@ class FileSystem {
   }
   [[nodiscard]] PathCache& path_cache() noexcept { return *path_cache_; }
 
-  // Extent-cache A/B switch (benches, tests).  Construction honours
-  // SIMURGH_EXTENT_CACHE=0|off and SIMURGH_EXTENT_CACHE_SLOTS=<n>.
+  // Extent-cache A/B switch (benches, tests; on by default).
   void set_extent_cache_enabled(bool enabled) noexcept {
     extent_cache_on_ = enabled;
   }
@@ -448,8 +446,6 @@ class FileSystem {
   bool verify_reads_ = false;
   std::atomic<std::uint64_t> crc_verify_failures_{0};
   std::unique_ptr<Scrubber> scrub_;  // created by format()/mount()
-  // Scrubber construction + SIMURGH_VERIFY_READS; called by format()/mount().
-  void make_integrity();
 
   // ---- metadata-service mode ----
   // Null until enable_service_mode().  Declared BEFORE wb_ deliberately:
@@ -461,8 +457,7 @@ class FileSystem {
   std::atomic<std::uint64_t> svc_requests_{0};
   std::atomic<std::uint64_t> svc_local_fastpath_{0};
 
-  // Honours SIMURGH_WRITEBEHIND[_INTERVAL_US|_EPOCH_BYTES|_STAGE_BYTES|
-  // _SYNC_DRAIN]; called by format()/mount().
+  // Honours SIMURGH_WRITEBEHIND_SYNC_DRAIN; called by format()/mount().
   void make_write_behind();
   // Declared LAST: destroyed first, so the persister thread is joined while
   // every component it drains through (locks_, blocks_, pools_) is alive.

@@ -33,9 +33,8 @@ constexpr int kOpenSync = 0x40;
 // Per-file durability class (write_behind.h).  `strict` is the default and
 // today's behavior: data + size stamp are durable before the write returns.
 // `group` stages writes in DRAM and group-commits a mount-wide epoch every
-// T µs / B bytes; `async` stages and writes back opportunistically, with
-// fsync forcing the epoch.
-enum class Durability : std::uint8_t { strict = 0, group = 1, async = 2 };
+// T µs / B bytes; fsync is absorbed into that cadence.
+enum class Durability : std::uint8_t { strict = 0, group = 1 };
 
 struct OpenFile {
   // 0 = free slot; 1 = being initialized; otherwise the inode offset.

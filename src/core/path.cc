@@ -48,10 +48,9 @@ Result<PathWalker::ChildRef> PathWalker::lookup_child(
     cache = nullptr;
   }
 
+  std::uint64_t child_off = 0;
   SIMURGH_ASSIGN_OR_RETURN(const std::uint64_t fe_off,
-                           dirops_.lookup(dir, name));
-  const auto* fe = reinterpret_cast<const FileEntry*>(dev_.at(fe_off));
-  const std::uint64_t child_off = fe->inode.load().raw();
+                           dirops_.lookup(dir, name, &child_off));
   if (child_off == 0) return Errc::not_found;  // racing delete
   if (cache != nullptr && dirops_.name_epoch(dir, name).epoch == epoch)
     cache->put(dir_off, name, epoch, fe_off, child_off);

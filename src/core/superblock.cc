@@ -3,6 +3,8 @@
 
 #include <time.h>
 
+#include <algorithm>
+
 #include "common/hash.h"
 
 namespace simurgh::core {
@@ -79,7 +81,14 @@ FileLock& FileLockTable::slot_for(std::uint64_t inode_off) {
 // lease stamps), which the analysis cannot model — the ACQUIRE/RELEASE
 // attributes on the declarations (shm.h) are the contract callers are
 // checked against.
+//
+// A holder stamps the lock just after its acquiring CAS, so a waiter can
+// find a live holder's lock still carrying an earlier holder's stamp (or a
+// fresh slot's 0).  The lease therefore runs from the later of the stamp
+// and the waiter's first failed attempt: only a holder that stayed silent
+// for a whole lease while we watched is presumed dead.
 void FileLockTable::lock_shared(FileLock& l) NO_THREAD_SAFETY_ANALYSIS {
+  std::uint64_t wait_start = 0;  // set on the first failed attempt
   for (;;) {
     std::uint32_t cur = l.word.load(std::memory_order_relaxed);
     if ((cur & kWriterBit) == 0) {
@@ -91,7 +100,9 @@ void FileLockTable::lock_shared(FileLock& l) NO_THREAD_SAFETY_ANALYSIS {
       continue;
     }
     // Writer present: lease check (crashed writer recovery).
-    const std::uint64_t stamp = l.stamp_ns.load(std::memory_order_relaxed);
+    if (wait_start == 0) wait_start = monotonic_ns();
+    const std::uint64_t stamp =
+        std::max(l.stamp_ns.load(std::memory_order_relaxed), wait_start);
     if (monotonic_ns() - stamp > lease_ns_) {
       std::uint32_t expected = cur;
       if (l.word.compare_exchange_strong(expected, 1,
@@ -112,6 +123,7 @@ void FileLockTable::unlock_shared(FileLock& l) NO_THREAD_SAFETY_ANALYSIS {
 }
 
 void FileLockTable::lock_exclusive(FileLock& l) NO_THREAD_SAFETY_ANALYSIS {
+  std::uint64_t wait_start = 0;  // set on the first failed attempt
   for (;;) {
     std::uint32_t expected = 0;
     if (l.word.compare_exchange_weak(expected, kWriterBit,
@@ -119,7 +131,9 @@ void FileLockTable::lock_exclusive(FileLock& l) NO_THREAD_SAFETY_ANALYSIS {
       l.stamp_ns.store(monotonic_ns(), std::memory_order_relaxed);
       return;
     }
-    const std::uint64_t stamp = l.stamp_ns.load(std::memory_order_relaxed);
+    if (wait_start == 0) wait_start = monotonic_ns();
+    const std::uint64_t stamp =
+        std::max(l.stamp_ns.load(std::memory_order_relaxed), wait_start);
     if (monotonic_ns() - stamp > lease_ns_) {
       std::uint32_t cur = l.word.load(std::memory_order_relaxed);
       if (cur != 0 && l.word.compare_exchange_strong(

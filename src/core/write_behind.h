@@ -9,9 +9,6 @@
 //           staged bytes, whichever first.  fsync is ABSORBED into the
 //           epoch cadence (counted, not flushed): the class contract is
 //           durability within one commit interval, not at fsync return.
-//   async   staged, written back opportunistically (a lazy multiple of T);
-//           fsync FORCES the epoch — it seals and awaits exactly the epochs
-//           containing that inode's ranges, so it returns durable.
 //
 // Staging is per-EPOCH per-inode: an epoch owns the dirty ranges staged
 // while it was open, epochs seal in order and a background persister drains
@@ -34,7 +31,7 @@
 //   epoch journal    NVMM page at kWbJournalOff, shared by all mounts and
 //                    serialized by a lease-stamped lock; an armed journal
 //                    left by a dead peer is rolled forward by the stealer
-//   unmount          drains everything (group AND async) before detach
+//   unmount          drains everything staged before detach
 #pragma once
 
 #include <atomic>
@@ -89,7 +86,6 @@ class WriteBehind {
     std::uint64_t epoch_bytes = 1ull << 20;    // B: seal on staged bytes
     std::uint64_t max_staged_bytes = 8ull << 20;  // backpressure threshold
     unsigned epoch_max_inodes = kWbJournalCap;    // journal entry capacity
-    unsigned async_lazy_factor = 8;  // async-only epochs wait T * this
     // Drain inline on the sealing thread instead of on the persister
     // (deterministic persist ordering for the crash-image harness).
     bool sync_drain = false;
@@ -151,8 +147,7 @@ class WriteBehind {
                     std::uint64_t off);
 
   // ---- sync / lifecycle ----
-  // Class-aware fsync: group absorbs (counts), async seals + awaits the
-  // epochs containing the inode, relaxed-class-with-nothing-staged absorbs.
+  // Class-aware fsync: a group inode absorbs it (counted, never waited on).
   // Returns false — without counting anything — when the inode is strict
   // (or untracked): the caller owes the file a plain fence.  Folding the
   // class check in here keeps the write+fsync hot loop at one mu_
@@ -217,7 +212,6 @@ class WriteBehind {
     std::uint64_t seq = 0;  // mount-local, monotonically increasing
     std::uint64_t bytes = 0;
     bool sealed = false;
-    bool has_group = false;
     std::chrono::steady_clock::time_point opened_at{};
     std::map<std::uint64_t, StagedFile> files;  // ino_off -> staged
   };

@@ -215,7 +215,15 @@ TEST_F(ShimTest, SetDurabilityErrnos) {
   ASSERT_GE(sfs_open("/plain", O_CREAT | O_WRONLY, 0644), 0);
   EXPECT_EQ(sfs_set_durability("/plain", 42), -1);
   EXPECT_EQ(last_errno(), EINVAL);
-  EXPECT_EQ(sfs_fset_durability(999, SFS_DURABILITY_ASYNC), -1);
+  // Only strict (0) and group (1) exist; the next value up is no class.
+  EXPECT_EQ(sfs_set_durability("/plain", 2), -1);
+  EXPECT_EQ(last_errno(), EINVAL);
+  const int pfd = sfs_open("/plain", O_WRONLY);
+  ASSERT_GE(pfd, 0);
+  EXPECT_EQ(sfs_fset_durability(pfd, 2), -1);
+  EXPECT_EQ(last_errno(), EINVAL);
+  EXPECT_EQ(sfs_close(pfd), 0);
+  EXPECT_EQ(sfs_fset_durability(999, SFS_DURABILITY_GROUP), -1);
   EXPECT_EQ(last_errno(), EBADF);
   ASSERT_EQ(sfs_mkdir("/adir", 0755), 0);
   EXPECT_EQ(sfs_set_durability("/adir", SFS_DURABILITY_GROUP), -1);

@@ -48,7 +48,7 @@ using core::kOpenWrite;
 
 std::string pattern(char c, std::size_t n) { return std::string(n, c); }
 
-// Scoped environment overrides (restored on destruction) for the knobs
+// Scoped environment override (restored on destruction) for the one knob
 // make_write_behind() reads at format/mount time.
 class EnvGuard {
  public:
@@ -189,27 +189,6 @@ TEST_F(WriteBehindTest, GroupSequencePinsCounters) {
   EXPECT_EQ(st.staged_bytes, 0u);
   EXPECT_EQ(read_all("/f"), a + b + c3);  // now from NVMM
   EXPECT_EQ(wb_->counters().drained_bytes, 1024u);
-  ASSERT_TRUE(p().close(fd).is_ok());
-}
-
-TEST_F(WriteBehindTest, AsyncFsyncForcesTheEpoch) {
-  const int fd = open_rw("/f");
-  ASSERT_TRUE(p().set_durability("/f", Durability::async).is_ok());
-  const std::string d = pattern('z', 640);
-  ASSERT_TRUE(p().write(fd, d.data(), d.size()).is_ok());
-  EXPECT_EQ(wb_->counters().staged_bytes, 640u);
-
-  // Pending ranges: async fsync seals and awaits — it is NOT absorbed.
-  ASSERT_TRUE(p().fsync(fd).is_ok());
-  auto c = wb_->counters();
-  EXPECT_EQ(c.fsyncs_absorbed, 0u);
-  EXPECT_EQ(c.group_commits, 1u);
-  EXPECT_EQ(c.staged_bytes, 0u);
-
-  // Nothing in flight: the second fsync absorbs.
-  ASSERT_TRUE(p().fsync(fd).is_ok());
-  EXPECT_EQ(wb_->counters().fsyncs_absorbed, 1u);
-  EXPECT_EQ(read_all("/f"), d);
   ASSERT_TRUE(p().close(fd).is_ok());
 }
 
@@ -464,7 +443,7 @@ TEST_F(WriteBehindTest, UnmountDrainsEverythingStaged) {
   const int fd = open_rw("/g");
   const int fd2 = open_rw("/a");
   ASSERT_TRUE(p().set_durability("/g", Durability::group).is_ok());
-  ASSERT_TRUE(p().set_durability("/a", Durability::async).is_ok());
+  ASSERT_TRUE(p().set_durability("/a", Durability::group).is_ok());
   const std::string g = pattern('G', 700), a = pattern('A', 450);
   ASSERT_TRUE(p().write(fd, g.data(), g.size()).is_ok());
   ASSERT_TRUE(p().write(fd2, a.data(), a.size()).is_ok());
@@ -510,23 +489,28 @@ TEST_F(WriteBehindTest, RecoverDiscardsStagedWithAccounting) {
   ASSERT_TRUE(p().close(fd).is_ok());
 }
 
-// discard_staged() vs an inline drainer: an async fsync drains on the
-// calling thread with mu_ released and a raw pointer into epochs_, so the
-// discard must wait for it to retire before destroying the deque (the
-// regression was a use-after-free asan catches here).
+// discard_staged() vs an inline drainer: flush_inode (here reached through
+// an O_SYNC write behind a staged one) drains on the calling thread with
+// mu_ released and a raw pointer into epochs_, so the discard must wait for
+// it to retire before destroying the deque (the regression was a
+// use-after-free asan catches here).
 TEST_F(WriteBehindTest, DiscardWaitsForInlineDrainer) {
   const int fd = open_rw("/f");
-  ASSERT_TRUE(p().set_durability("/f", Durability::async).is_ok());
+  ASSERT_TRUE(p().set_durability("/f", Durability::group).is_ok());
   std::atomic<bool> stop{false};
   std::thread writer([&] {
     auto proc = fs_->open_process(1000, 1000);
     auto wfd = proc->open("/f", kOpenWrite | kOpenAppend);
     ASSERT_TRUE(wfd.is_ok());
+    auto sfd = proc->open("/f", kOpenWrite | kOpenAppend | kOpenSync);
+    ASSERT_TRUE(sfd.is_ok());
     const std::string chunk = pattern('w', 256);
     while (!stop.load(std::memory_order_relaxed)) {
       if (!proc->write(*wfd, chunk.data(), chunk.size()).is_ok()) break;
-      if (!proc->fsync(*wfd).is_ok()) break;  // pending async: inline drain
+      // Staged bytes pending: the O_SYNC write flushes them inline first.
+      if (!proc->write(*sfd, chunk.data(), chunk.size()).is_ok()) break;
     }
+    (void)proc->close(*sfd);
     (void)proc->close(*wfd);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -576,7 +560,7 @@ TEST_F(WriteBehindTest, FsckFlagsArmedJournalAndRollForwardClears) {
   EXPECT_FALSE(core::wb_journal_roll_forward(*nvmm_));
 }
 
-// ---- concurrency (tsan): staging, fsync, and commits in parallel ----
+// ---- concurrency (tsan): staging, fsync, flushes and commits in parallel ----
 
 TEST_F(WriteBehindTest, ConcurrentStagedWritersStayCoherent) {
   constexpr int kThreads = 4;
@@ -590,17 +574,20 @@ TEST_F(WriteBehindTest, ConcurrentStagedWritersStayCoherent) {
       const std::string path = "/t" + std::to_string(t);
       auto fd = proc->open(path, kOpenCreate | kOpenWrite | kOpenAppend);
       ASSERT_TRUE(fd.is_ok());
-      ASSERT_TRUE(
-          proc->set_durability(path, t % 2 == 0 ? Durability::group
-                                                : Durability::async)
-              .is_ok());
+      // Odd threads also append through an O_SYNC descriptor, whose
+      // inline flush races the persister and the other writers.
+      auto sfd = proc->open(path, kOpenWrite | kOpenAppend | kOpenSync);
+      ASSERT_TRUE(sfd.is_ok());
+      ASSERT_TRUE(proc->set_durability(path, Durability::group).is_ok());
       const std::string chunk = pattern(static_cast<char>('0' + t), kChunk);
       for (int i = 0; i < kWrites; ++i) {
-        ASSERT_TRUE(proc->write(*fd, chunk.data(), chunk.size()).is_ok());
+        const int wfd = t % 2 == 1 && i % 16 == 8 ? *sfd : *fd;
+        ASSERT_TRUE(proc->write(wfd, chunk.data(), chunk.size()).is_ok());
         if (i % 16 == 0) {
           ASSERT_TRUE(proc->fsync(*fd).is_ok());
         }
       }
+      ASSERT_TRUE(proc->close(*sfd).is_ok());
       ASSERT_TRUE(proc->close(*fd).is_ok());
     });
   }
@@ -620,15 +607,22 @@ TEST_F(WriteBehindTest, ConcurrentStagedWritersStayCoherent) {
 
 // ---- crash images: the epoch drain protocol under store tracing ----
 
+// Only explicit commits seal an epoch: no byte-cap seal or backpressure
+// flush may move a commit point the test did not script.
+void unbound_epochs(CrashHarness& h) {
+  core::WriteBehind* wb = h.fs().write_behind();
+  wb->set_epoch_bytes(1ull << 30);
+  wb->set_max_staged_bytes(1ull << 30);
+}
+
 // A single staged epoch's commit is all-or-nothing: every crash image at
 // every fence boundary of the drain (data stores, journal arm, size stamps,
 // commit, disarm) recovers to exactly the pre- or post-epoch namespace.
 TEST(WriteBehindCrash, SingleEpochCommitIsAtomic) {
-  EnvGuard env{{"SIMURGH_WRITEBEHIND_SYNC_DRAIN", "1"},
-               {"SIMURGH_WRITEBEHIND_EPOCH_BYTES", "1073741824"},
-               {"SIMURGH_WRITEBEHIND_STAGE_BYTES", "1073741824"}};
+  EnvGuard env{{"SIMURGH_WRITEBEHIND_SYNC_DRAIN", "1"}};
   CrashHarness h;
-  h.setup([](core::Process& p) {
+  h.setup([&h](core::Process& p) {
+    unbound_epochs(h);
     ASSERT_TRUE(p.mkdir("/d").is_ok());
     auto fd = p.open("/d/f", kOpenCreate | kOpenWrite);
     ASSERT_TRUE(fd.is_ok());
@@ -652,27 +646,27 @@ TEST(WriteBehindCrash, SingleEpochCommitIsAtomic) {
       << "no crash image recovered to the committed-epoch state";
 }
 
-// Multi-epoch prefix consistency: three group commits over mixed
-// group/async inodes with a strict append interleaved.  Every sampled
-// crash image must recover to one of the acked points, in order — i.e. an
-// exact prefix of the committed epochs (epoch k durable => all epochs < k
-// durable), never a torn or reordered state.  One commit is driven by the
-// async-class fsync (the force-the-epoch path) rather than the timer proxy.
+// Multi-epoch prefix consistency: three group commits over three group
+// inodes with a strict append interleaved.  Every sampled crash image must
+// recover to one of the acked points, in order — i.e. an exact prefix of
+// the committed epochs (epoch k durable => all epochs < k durable), never a
+// torn or reordered state.  One commit is driven by flush_inode (the path
+// truncate, unlink, O_SYNC writes and backpressure take) rather than the
+// timer proxy.
 TEST(WriteBehindCrash, MultiEpochRecoversToAckedPrefix) {
-  EnvGuard env{{"SIMURGH_WRITEBEHIND_SYNC_DRAIN", "1"},
-               {"SIMURGH_WRITEBEHIND_EPOCH_BYTES", "1073741824"},
-               {"SIMURGH_WRITEBEHIND_STAGE_BYTES", "1073741824"}};
+  EnvGuard env{{"SIMURGH_WRITEBEHIND_SYNC_DRAIN", "1"}};
   CrashHarness h;
-  h.setup([](core::Process& p) {
+  h.setup([&h](core::Process& p) {
+    unbound_epochs(h);
     ASSERT_TRUE(p.mkdir("/d").is_ok());
-    for (const char* f : {"/d/g1", "/d/g2", "/d/a1", "/d/s"}) {
+    for (const char* f : {"/d/g1", "/d/g2", "/d/g3", "/d/s"}) {
       auto fd = p.open(f, kOpenCreate | kOpenWrite);
       ASSERT_TRUE(fd.is_ok());
       ASSERT_TRUE(p.close(*fd).is_ok());
     }
     ASSERT_TRUE(p.set_durability("/d/g1", Durability::group).is_ok());
     ASSERT_TRUE(p.set_durability("/d/g2", Durability::group).is_ok());
-    ASSERT_TRUE(p.set_durability("/d/a1", Durability::async).is_ok());
+    ASSERT_TRUE(p.set_durability("/d/g3", Durability::group).is_ok());
   });
 
   std::vector<NsSnapshot> mids;
@@ -686,10 +680,10 @@ TEST(WriteBehindCrash, MultiEpochRecoversToAckedPrefix) {
     };
     core::WriteBehind* wb = h.fs().write_behind();
 
-    // Epoch 1: two group inodes and the async inode in one epoch.
+    // Epoch 1: all three group inodes in one epoch.
     append("/d/g1", 'A', 160);
     append("/d/g2", 'B', 96);
-    append("/d/a1", 'C', 128);
+    append("/d/g3", 'C', 128);
     wb->commit_epoch_now();
     mids.push_back(snapshot_namespace(h.fs()));
 
@@ -697,21 +691,16 @@ TEST(WriteBehindCrash, MultiEpochRecoversToAckedPrefix) {
     append("/d/s", 'S', 64);
     mids.push_back(snapshot_namespace(h.fs()));
 
-    // Epoch 2, committed by the async fsync-forces-the-epoch path.
+    // Epoch 2, committed by flushing one of its two inodes.
     append("/d/g1", 'D', 200);
-    append("/d/a1", 'E', 64);
-    {
-      auto fd = p.open("/d/a1", kOpenWrite);
-      ASSERT_TRUE(fd.is_ok());
-      ASSERT_TRUE(p.fsync(*fd).is_ok());  // pending async -> seal + await
-      ASSERT_TRUE(p.close(*fd).is_ok());
-    }
+    append("/d/g3", 'E', 64);
+    ASSERT_TRUE(wb->flush_inode(p.stat("/d/g3")->inode).is_ok());
     mids.push_back(snapshot_namespace(h.fs()));
 
     // Epoch 3: all three relaxed inodes again.
     append("/d/g2", 'F', 96);
     append("/d/g1", 'G', 48);
-    append("/d/a1", 'H', 32);
+    append("/d/g3", 'H', 32);
     wb->commit_epoch_now();
     mids.push_back(snapshot_namespace(h.fs()));
   });
