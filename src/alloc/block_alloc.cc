@@ -1,7 +1,5 @@
 #include "alloc/block_alloc.h"
 
-#include <time.h>
-
 #include <algorithm>
 #include <vector>
 
@@ -13,20 +11,6 @@ namespace simurgh::alloc {
 namespace {
 
 constexpr std::uint64_t kMagic = 0x53494d5f424c4b31ull;  // "SIM_BLK1"
-
-std::uint64_t monotonic_ns() noexcept {
-  timespec ts{};
-  ::clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
-         static_cast<std::uint64_t>(ts.tv_nsec);
-}
-
-// Owner tokens: any nonzero value unique per thread.
-std::uint64_t self_token() noexcept {
-  thread_local const std::uint64_t token =
-      monotonic_ns() | 1;  // nonzero, distinct enough per thread start
-  return token;
-}
 
 }  // namespace
 
@@ -84,58 +68,28 @@ unsigned BlockAllocator::segment_of(std::uint64_t block_off) const noexcept {
 }
 
 // NO_THREAD_SAFETY_ANALYSIS on the three lock-word bodies: acquisition is a
-// raw CAS on seg.lock.owner (an atomic word is not a capability the
+// lease CAS on seg.lock.owner (an atomic word is not a capability the
 // analysis can track), so the function-level ACQUIRE/RELEASE/TRY_ACQUIRE
 // attributes in block_alloc.h are the ground truth callers are checked
 // against; the bodies themselves cannot be proven by the analysis.
 bool BlockAllocator::try_lock_segment(SegmentHeader& seg)
     NO_THREAD_SAFETY_ANALYSIS {
-  std::uint64_t expected = 0;
-  if (seg.lock.owner.compare_exchange_strong(expected, self_token(),
-                                             std::memory_order_acquire)) {
-    seg.lock.last_accessed_ns.store(monotonic_ns(),
-                                    std::memory_order_relaxed);
-    return true;
-  }
-  return false;
+  return common::lease_try_lock(seg.lock.owner, seg.lock.last_accessed_ns,
+                                common::lease_self_token());
 }
 
 bool BlockAllocator::lock_segment(SegmentHeader& seg)
     NO_THREAD_SAFETY_ANALYSIS {  // see try_lock_segment
-  unsigned spins = 0;
-  for (;;) {
-    if (try_lock_segment(seg)) return false;
-    // Lease check: a holder that has not refreshed last_accessed within the
-    // lease is considered crashed; steal the lock (paper §4.2).
-    const std::uint64_t stamp =
-        seg.lock.last_accessed_ns.load(std::memory_order_relaxed);
-    const std::uint64_t owner =
-        seg.lock.owner.load(std::memory_order_relaxed);
-    if (owner != 0 && monotonic_ns() - stamp > lease_ns_) {
-      std::uint64_t expected = owner;
-      if (seg.lock.owner.compare_exchange_strong(
-              expected, self_token(), std::memory_order_acquire)) {
-        seg.lock.last_accessed_ns.store(monotonic_ns(),
-                                        std::memory_order_relaxed);
-        stats_->lock_steals.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-    }
-    // The holder may be a descheduled peer process; after a short pause
-    // burst, give it the CPU instead of burning the rest of the quantum.
-    if (++spins < 64) {
-#if defined(__x86_64__)
-      __builtin_ia32_pause();
-#endif
-    } else {
-      ::sched_yield();
-    }
-  }
+  const bool stole =
+      common::lease_lock(seg.lock.owner, seg.lock.last_accessed_ns,
+                         common::lease_self_token(), lease_ns_);
+  if (stole) stats_->lock_steals.fetch_add(1, std::memory_order_relaxed);
+  return stole;
 }
 
 void BlockAllocator::unlock_segment(SegmentHeader& seg) noexcept
     NO_THREAD_SAFETY_ANALYSIS {  // see try_lock_segment
-  seg.lock.owner.store(0, std::memory_order_release);
+  common::lease_unlock(seg.lock.owner, common::lease_self_token());
 }
 
 Result<std::uint64_t> BlockAllocator::alloc(std::uint64_t n_blocks,
@@ -220,7 +174,7 @@ ShmReservation* BlockAllocator::shm_thread_slot() {
     unsigned idx;
   };
   thread_local std::vector<Binding> bindings;
-  const std::uint64_t self = self_token();
+  const std::uint64_t self = common::lease_self_token();
   for (auto it = bindings.begin(); it != bindings.end(); ++it) {
     if (it->shared != shared_) continue;
     ShmReservation& slot = shared_->reservations[it->idx];
@@ -277,7 +231,7 @@ ShmReservation* BlockAllocator::shm_thread_slot() {
 
 Result<std::uint64_t> BlockAllocator::alloc_reserved(std::uint64_t n,
                                                      std::uint64_t hint) {
-  const std::uint64_t self = self_token();
+  const std::uint64_t self = common::lease_self_token();
   ShmReservation* res = shm_thread_slot();
   if (res == nullptr) return alloc_direct(n, hint);
   lock_reservation(*res, self, lease_ns_);
@@ -332,17 +286,17 @@ Result<std::uint64_t> BlockAllocator::alloc_reserved(std::uint64_t n,
   return c.value();
 }
 
-std::uint64_t BlockAllocator::reclaim_shm_slots(std::uint64_t tok,
-                                                bool match_all) {
+std::uint64_t BlockAllocator::reclaim_shm_slots(
+    const std::function<bool(std::uint64_t)>& match) {
   std::uint64_t blocks = 0;
-  const std::uint64_t self = self_token();
+  const std::uint64_t self = common::lease_self_token();
   for (unsigned i = 0; i < kShmReserveSlots; ++i) {
     ShmReservation& slot = shared_->reservations[i];
     const std::uint64_t owner = slot.mount.load(std::memory_order_acquire);
-    if (owner == 0 || (!match_all && owner != tok)) continue;
+    if (owner == 0 || !match(owner)) continue;
     lock_reservation(slot, self, lease_ns_);
     const std::uint64_t owner2 = slot.mount.load(std::memory_order_relaxed);
-    if (owner2 == 0 || (!match_all && owner2 != tok)) {
+    if (owner2 == 0 || !match(owner2)) {
       unlock_reservation(slot, self);
       continue;
     }
@@ -363,33 +317,32 @@ std::uint64_t BlockAllocator::reclaim_shm_slots(std::uint64_t tok,
 }
 
 std::uint64_t BlockAllocator::reclaim_mount_reservations(
-    std::uint64_t dead_mount_token) {
-  if (shared_ == nullptr || dead_mount_token == 0) return 0;
-  return reclaim_shm_slots(dead_mount_token, /*match_all=*/false);
+    const std::function<bool(std::uint64_t)>& dead) {
+  if (shared_ == nullptr) return 0;
+  return reclaim_shm_slots(dead);
 }
 
-unsigned BlockAllocator::reap_expired_segment_locks() {
-  BlockAllocHeader& h = header();
+unsigned BlockAllocator::reap_expired_segment_locks(unsigned* pending) {
   SegmentHeader* segs = segments();
-  unsigned cleared = 0;
-  const std::uint64_t now = monotonic_ns();
-  for (unsigned s = 0; s < h.n_segments; ++s) {
-    SegmentLock& l = segs[s].lock;
-    std::uint64_t owner = l.owner.load(std::memory_order_relaxed);
-    if (owner == 0) continue;
-    const std::uint64_t stamp =
-        l.last_accessed_ns.load(std::memory_order_relaxed);
-    if (now - stamp <= lease_ns_) continue;
-    // Clearing straight to 0 is steal + immediate release: the holder died
-    // inside a critical section that alloc_from/free_into keep crash-
-    // consistent (recovery's rebuild sweeps any half-carved range).
-    if (l.owner.compare_exchange_strong(owner, 0,
-                                        std::memory_order_acq_rel)) {
-      ++cleared;
-      stats_->lock_steals.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  return cleared;
+  return reap_sweep_->pass(
+      header().n_segments, lease_ns_,
+      [&](std::uint64_t s, std::uint64_t& owner, std::uint64_t& stamp) {
+        owner = segs[s].lock.owner.load(std::memory_order_relaxed);
+        stamp = segs[s].lock.last_accessed_ns.load(std::memory_order_relaxed);
+        return owner != 0;
+      },
+      [&](std::uint64_t s, std::uint64_t owner) {
+        // Clearing straight to 0 is steal + immediate release: the holder
+        // died inside a critical section that alloc_from/free_into keep
+        // crash-consistent (recovery's rebuild sweeps any half-carved
+        // range).
+        if (!segs[s].lock.owner.compare_exchange_strong(
+                owner, 0, std::memory_order_acq_rel))
+          return false;
+        stats_->lock_steals.fetch_add(1, std::memory_order_relaxed);
+        return true;
+      },
+      pending);
 }
 
 Result<std::uint64_t> BlockAllocator::alloc_from(SegmentHeader& seg,
@@ -488,14 +441,15 @@ void BlockAllocator::free_into(SegmentHeader& seg, std::uint64_t block_off,
 void BlockAllocator::drain_reservations(bool drain_all) {
   if (shared_ == nullptr) return;
   // Own slots always; every claimed slot when last-out sweeps stragglers.
-  reclaim_shm_slots(mount_token_, drain_all);
+  reclaim_shm_slots(
+      [&](std::uint64_t tok) { return drain_all || tok == mount_token_; });
 }
 
 void BlockAllocator::invalidate_reservations() noexcept {
   if (shared_ == nullptr) return;
   // Forget the ranges but keep slot claims: live peer threads rebind via
   // revalidation; the caller is about to rebuild the free lists.
-  const std::uint64_t self = self_token();
+  const std::uint64_t self = common::lease_self_token();
   for (unsigned i = 0; i < kShmReserveSlots; ++i) {
     ShmReservation& slot = shared_->reservations[i];
     lock_reservation(slot, self, lease_ns_);
@@ -517,7 +471,7 @@ std::uint64_t BlockAllocator::reserved_unused_blocks() const noexcept {
 void BlockAllocator::for_each_reservation(
     const std::function<void(std::uint64_t, std::uint64_t)>& fn) const {
   if (shared_ == nullptr) return;
-  const std::uint64_t self = self_token();
+  const std::uint64_t self = common::lease_self_token();
   for (unsigned i = 0; i < kShmReserveSlots; ++i) {
     ShmReservation& slot = shared_->reservations[i];
     lock_reservation(slot, self, lease_ns_);

@@ -22,6 +22,7 @@
 #include <cstdint>
 
 #include "alloc/shm_state.h"
+#include "common/lease.h"
 #include "common/status.h"
 #include "nvmm/device.h"
 #include "nvmm/persist.h"
@@ -183,15 +184,17 @@ class BlockAllocator {
     return mount_token_;
   }
 
-  // Survivor-side reclaim: frees every shm reservation slot owned by
-  // `dead_mount_token` (its process is gone; lease-expired).  Returns the
-  // number of blocks returned to the free lists.
-  std::uint64_t reclaim_mount_reservations(std::uint64_t dead_mount_token);
+  // Survivor-side reclaim: frees every shm reservation slot whose owning
+  // mount `dead(token)` names (its process is gone; lease-expired).
+  // Returns the number of blocks returned to the free lists.
+  std::uint64_t reclaim_mount_reservations(
+      const std::function<bool(std::uint64_t)>& dead);
 
-  // Survivor-side reclaim: clears segment locks whose holder's lease
-  // expired (eager form of the steal in lock_segment).  Returns the number
-  // of locks cleared.
-  unsigned reap_expired_segment_locks();
+  // Survivor-side reclaim: clears segment locks that stayed unchanged for
+  // a whole lease across passes (common/lease.h; eager form of the steal in
+  // lock_segment).  Returns the number of locks cleared; adds to `pending`
+  // the stale-stamped locks still watched.
+  unsigned reap_expired_segment_locks(unsigned* pending = nullptr);
 
   // Clean shutdown: returns the unused remainder of every slot THIS mount
   // owns (including slots of its exited threads) to the free lists —
@@ -289,15 +292,18 @@ class BlockAllocator {
   // Claims (or revalidates) this thread's shm reservation slot; nullptr if
   // all slots are taken (caller falls back to the direct path).
   ShmReservation* shm_thread_slot();
-  // Frees every shm slot matching `tok` (0 = every claimed slot); returns
+  // Frees every claimed shm slot whose owning mount `match`es; returns
   // blocks returned to the free lists.
-  std::uint64_t reclaim_shm_slots(std::uint64_t tok, bool match_all);
+  std::uint64_t reclaim_shm_slots(
+      const std::function<bool(std::uint64_t)>& match);
 
   nvmm::Device* dev_;
   std::uint64_t header_off_;
   std::uint64_t lease_ns_ = 100'000'000;  // 100 ms
   // Heap-held so the allocator stays movable (atomics pin the struct).
   std::unique_ptr<BlockAllocStats> stats_;
+  std::unique_ptr<common::LeaseSweep> reap_sweep_ =
+      std::make_unique<common::LeaseSweep>();
   // Heap-held for the same movability reason; read on every refill carve.
   std::unique_ptr<std::atomic<CarveProxy*>> carve_proxy_ =
       std::make_unique<std::atomic<CarveProxy*>>(nullptr);

@@ -105,7 +105,7 @@ bool ObjectAllocator::refill_shared() {
   // full stack ends the scan early: whatever did not fit is found again by
   // the next refill.
   ObjCacheStack& st = stack();
-  const std::uint64_t self = shm_self_token();
+  const std::uint64_t self = common::lease_self_token();
   std::uint64_t batch[64];
   unsigned pending = 0;
   bool any = false;
@@ -131,7 +131,7 @@ Result<std::uint64_t> ObjectAllocator::alloc() {
   // free objects, so each trip around the loop makes global progress until
   // the device is full.
   ObjCacheStack& st = stack();
-  const std::uint64_t self = shm_self_token();
+  const std::uint64_t self = common::lease_self_token();
   Magazine& mag = magazine_for(&st);
   for (;;) {
     while (!mag.hints.empty()) {
@@ -209,7 +209,7 @@ void ObjectAllocator::finish_pending_free(std::uint64_t payload_off) {
   mag.hints.push_back(payload_off);
   if (mag.hints.size() > kMagazineMax) {
     st.push_batch(mag.hints.data(), kMagazineBatch, home_stripe_,
-                  shm_self_token(), lease_ns_);
+                  common::lease_self_token(), lease_ns_);
     mag.hints.erase(mag.hints.begin(), mag.hints.begin() + kMagazineBatch);
   }
 }

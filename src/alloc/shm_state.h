@@ -12,8 +12,7 @@
 //     referenced by no inode and sits on no free list; survivors must be
 //     able to find it and give it back without a full remount.  Each
 //     reservation is a fixed shm slot stamped with the owning mount's
-//     token, guarded by a lease-stamped slot spinlock (the same
-//     decentralized crash rule as allocator segment locks).  A block
+//     token, guarded by a slot lease lock (common/lease.h).  A block
 //     allocator with no slots attached serves every request directly.
 //
 //   * The object allocator's free-object cache (obj_alloc.h): offsets of
@@ -42,74 +41,13 @@
 // recovery re-derives all of it from NVMM.
 #pragma once
 
-#include <sched.h>
-#include <time.h>
-
 #include <atomic>
 #include <cstdint>
 
+#include "common/lease.h"
 #include "common/thread_annotations.h"
 
 namespace simurgh::alloc {
-
-inline std::uint64_t shm_clock_ns() noexcept {
-  timespec ts{};
-  ::clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
-         static_cast<std::uint64_t>(ts.tv_nsec);
-}
-
-// Nonzero owner token, distinct per thread (across processes with
-// overwhelming probability — collisions only weaken lock-steal diagnostics,
-// never correctness, since every cached datum behind these locks is a hint).
-inline std::uint64_t shm_self_token() noexcept {
-  thread_local const std::uint64_t token = shm_clock_ns() | 1;
-  return token;
-}
-
-// Spin-acquires a lease-stamped shm spinlock.  The critical sections behind
-// these locks are a handful of loads/stores, so a holder whose lease
-// expired can only be a process that died inside one — steal, exactly like
-// allocator segment locks.  After a short pause burst the waiter yields the
-// CPU: the holder may be a *descheduled* peer process (single-core boxes,
-// oversubscribed machines), and burning the rest of a scheduler quantum on
-// pause only delays the release being waited for.
-inline void shm_spin_lock(std::atomic<std::uint64_t>& lock,
-                          std::atomic<std::uint64_t>& stamp_ns,
-                          std::uint64_t self, std::uint64_t lease_ns) noexcept {
-  unsigned spins = 0;
-  for (;;) {
-    std::uint64_t expected = 0;
-    if (lock.compare_exchange_weak(expected, self,
-                                   std::memory_order_acquire)) {
-      stamp_ns.store(shm_clock_ns(), std::memory_order_relaxed);
-      return;
-    }
-    const std::uint64_t stamp = stamp_ns.load(std::memory_order_relaxed);
-    if (expected != 0 && shm_clock_ns() - stamp > lease_ns) {
-      if (lock.compare_exchange_strong(expected, self,
-                                       std::memory_order_acquire)) {
-        stamp_ns.store(shm_clock_ns(), std::memory_order_relaxed);
-        return;
-      }
-    }
-    if (++spins < 64) {
-#if defined(__x86_64__)
-      __builtin_ia32_pause();
-#endif
-    } else {
-      ::sched_yield();
-    }
-  }
-}
-
-// Releases only if still the owner: a stalled (not dead) holder whose lock
-// was lease-stolen must not unlock the stealer.
-inline void shm_spin_unlock(std::atomic<std::uint64_t>& lock,
-                            std::uint64_t self) noexcept {
-  std::uint64_t expected = self;
-  lock.compare_exchange_strong(expected, 0, std::memory_order_release);
-}
 
 // One thread's block reservation, visible to every mount.  `mount` is the
 // owning FileSystem's attachment token (0 = slot free); a survivor that
@@ -150,23 +88,24 @@ inline unsigned shm_reserve_home(std::uint64_t mount_token) noexcept {
 }
 
 // NO_THREAD_SAFETY_ANALYSIS on the bodies: the acquisition happens inside
-// shm_spin_lock(), which operates on raw atomic words (an atomic is not a
-// capability), so the analysis cannot see the acquire/release happen — the
+// common::lease_lock(), which operates on raw atomic words (an atomic is
+// not a capability), so the analysis cannot see the acquire/release — the
 // ACQUIRE/RELEASE attributes on these wrappers are the ground truth callers
 // are checked against.
 inline void lock_reservation(ShmReservation& r, std::uint64_t self,
                              std::uint64_t lease_ns) noexcept
     ACQUIRE(r) NO_THREAD_SAFETY_ANALYSIS {
-  shm_spin_lock(r.lock, r.lock_stamp_ns, self, lease_ns);
+  common::lease_lock(r.lock, r.lock_stamp_ns, self, lease_ns);
 }
 
 inline void unlock_reservation(ShmReservation& r, std::uint64_t self) noexcept
     RELEASE(r) NO_THREAD_SAFETY_ANALYSIS {
-  shm_spin_unlock(r.lock, self);
+  common::lease_unlock(r.lock, self);
 }
 
 // One stripe of a pool's free-object cache: a bounded LIFO guarded by its
-// own lease-stamped spinlock, aligned so stripes never share a cache line.
+// own lease lock (common/lease.h), aligned so stripes never share a cache
+// line.
 // Entries are hints: the popper must still win the on-media flag CAS, so
 // the worst a lease steal from a *stalled* (not dead) holder can do is
 // duplicate or drop a hint — pops additionally discard zero reads so a torn
@@ -207,7 +146,7 @@ struct alignas(64) CAPABILITY("obj_cache_stripe_lease") ObjCacheStripe {
 
   unsigned pop_some(std::uint64_t* out, unsigned max, std::uint64_t self,
                     std::uint64_t lease_ns) noexcept {
-    shm_spin_lock(lock, lock_stamp_ns, self, lease_ns);
+    common::lease_lock(lock, lock_stamp_ns, self, lease_ns);
     std::uint32_t i = n.load(std::memory_order_relaxed);
     unsigned got = 0;
     while (i > 0 && got < max) {
@@ -215,19 +154,19 @@ struct alignas(64) CAPABILITY("obj_cache_stripe_lease") ObjCacheStripe {
       if (v != 0) out[got++] = v;
     }
     n.store(i, std::memory_order_relaxed);
-    shm_spin_unlock(lock, self);
+    common::lease_unlock(lock, self);
     return got;
   }
 
   unsigned push_some(const std::uint64_t* in, unsigned count,
                      std::uint64_t self, std::uint64_t lease_ns) noexcept {
-    shm_spin_lock(lock, lock_stamp_ns, self, lease_ns);
+    common::lease_lock(lock, lock_stamp_ns, self, lease_ns);
     std::uint32_t i = n.load(std::memory_order_relaxed);
     unsigned put = 0;
     while (put < count && i < kObjCacheStripeSlots)
       slots[i++].store(in[put++], std::memory_order_relaxed);
     n.store(i, std::memory_order_relaxed);
-    shm_spin_unlock(lock, self);
+    common::lease_unlock(lock, self);
     return put;
   }
 };
@@ -252,7 +191,7 @@ struct ObjCacheStack {
   // Quiescent re-initialisation (shm format, recovery).
   void reset() noexcept {
     for (auto& s : stripes) s.reset();
-    epoch.store(shm_clock_ns(), std::memory_order_release);
+    epoch.store(common::lease_now_ns(), std::memory_order_release);
     std::atomic_thread_fence(std::memory_order_release);
   }
 
@@ -274,11 +213,6 @@ struct ObjCacheStack {
     return 0;
   }
 
-  bool pop(std::uint64_t& off_v, unsigned home, std::uint64_t self,
-           std::uint64_t lease_ns, std::uint64_t* steals = nullptr) noexcept {
-    return pop_batch(&off_v, 1, home, self, lease_ns, steals) == 1;
-  }
-
   // Pushes up to `count` hints into the home stripe, spilling overflow to
   // the neighbours.  Returns how many were accepted; the rest is dropped —
   // a refill scan finds those objects again.
@@ -291,11 +225,6 @@ struct ObjCacheStack {
       put += s.push_some(in + put, count - put, self, lease_ns);
     }
     return put;
-  }
-
-  bool push(std::uint64_t off_v, unsigned home, std::uint64_t self,
-            std::uint64_t lease_ns) noexcept {
-    return push_batch(&off_v, 1, home, self, lease_ns) == 1;
   }
 };
 

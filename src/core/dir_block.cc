@@ -1,7 +1,5 @@
 #include "core/dir_block.h"
 
-#include <time.h>
-
 #include <algorithm>
 #include <cstring>
 #include <iterator>
@@ -11,9 +9,12 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/lease.h"
 #include "core/layout.h"
 
 namespace simurgh::core {
+
+using common::lease_now_ns;
 
 namespace {
 
@@ -32,13 +33,6 @@ void advance_epoch_gen(nvmm::Device& dev, std::uint64_t e) noexcept {
   while (g <= e &&
          !gen.compare_exchange_weak(g, e + 2, std::memory_order_acq_rel)) {
   }
-}
-
-std::uint64_t monotonic_ns() noexcept {
-  timespec ts{};
-  ::clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
-         static_cast<std::uint64_t>(ts.tv_nsec);
 }
 
 // Publishes `value` into a slot observed free.  All publications go through
@@ -91,33 +85,31 @@ void scrub_entry(FileEntry* fe) noexcept {
 LineLock::LineLock(DirBlock* head, unsigned line, std::uint64_t lease_ns)
     : first_(head), line_(line) {
   const std::uint64_t bit = 1ull << line;
+  std::atomic<std::uint64_t>& stamp_ns = first_->stamp_ns[line];
+  common::LeaseWait wait;
   for (;;) {
     std::uint64_t cur = first_->busy.load(std::memory_order_relaxed);
-    if ((cur & bit) == 0 &&
-        first_->busy.compare_exchange_weak(cur, cur | bit,
-                                           std::memory_order_acquire)) {
+    if ((cur & bit) == 0) {
+      if (first_->busy.compare_exchange_weak(cur, cur | bit,
+                                             std::memory_order_acquire))
+        break;
+      continue;
+    }
+    // Lease check (common/lease.h): a holder silent for a whole lease
+    // crashed mid-operation.  Steal the line and let the caller repair it
+    // (paper: "the waiting process performs the recovery corresponding to
+    // this lock").  The bit stays set, so the steal is a CAS on the stamp:
+    // of several waiters that saw the same silent holder, one adopts it.
+    std::uint64_t stamp = stamp_ns.load(std::memory_order_relaxed);
+    if (wait.expired(bit, stamp, lease_ns) &&
+        stamp_ns.compare_exchange_strong(stamp, lease_now_ns(),
+                                         std::memory_order_acq_rel)) {
+      stole_ = true;
       break;
     }
-    // Lease check: the holder refreshes stamp_ns when taking the line; if
-    // it is stale, the holder crashed mid-operation.  Steal the lock and
-    // let the caller repair the line (paper: "the waiting process performs
-    // the recovery corresponding to this lock").
-    const std::uint64_t stamp =
-        first_->stamp_ns[line].load(std::memory_order_relaxed);
-    if ((cur & bit) != 0 && monotonic_ns() - stamp > lease_ns) {
-      // Refresh the stamp; the bit stays set, we simply adopt it.
-      std::uint64_t expected = stamp;
-      if (first_->stamp_ns[line].compare_exchange_strong(
-              expected, monotonic_ns(), std::memory_order_acq_rel)) {
-        stole_ = true;
-        break;
-      }
-    }
-#if defined(__x86_64__)
-    __builtin_ia32_pause();
-#endif
+    wait.backoff();
   }
-  first_->stamp_ns[line].store(monotonic_ns(), std::memory_order_relaxed);
+  stamp_ns.store(lease_now_ns(), std::memory_order_relaxed);
   held_ = true;
 }
 
@@ -894,7 +886,8 @@ void DirOps::maybe_split(Inode& dir) {
     // double-scanning legacy then bucket chains — until a remount.
     const std::uint64_t stamp =
         anchor->stamp_ns[0].load(std::memory_order_relaxed);
-    if (monotonic_ns() - stamp > lease_ns_) (void)split_directory(dir);
+    if (common::lease_expired(stamp, 0, lease_now_ns(), lease_ns_))
+      (void)split_directory(dir);
     return;
   }
   if (anchor->depth.load(std::memory_order_acquire) != 0) return;
@@ -934,7 +927,7 @@ Status DirOps::split_directory(Inode& dir) {
       for (unsigned ln = 0; ln < kLines; ++ln) repair_line_all(dir, ln);
       bool drained = true;
       for (unsigned ln = 0; ln < kLines; ++ln) {
-        const std::uint64_t now = monotonic_ns();
+        const std::uint64_t now = lease_now_ns();
         for (unsigned i = 0; i < kLines; ++i)
           anchor->stamp_ns[i].store(now, std::memory_order_relaxed);
         if (!migrate_line(dir, ln)) drained = false;
@@ -1009,7 +1002,7 @@ Status DirOps::split_directory(Inode& dir) {
   for (unsigned ln = 0; ln < kLines; ++ln) {
     // Keep every held lease fresh: mutators must not conclude we died
     // while a long migration is still making progress.
-    const std::uint64_t now = monotonic_ns();
+    const std::uint64_t now = lease_now_ns();
     for (unsigned i = 0; i < kLines; ++i)
       anchor->stamp_ns[i].store(now, std::memory_order_relaxed);
     if (!migrate_line(dir, ln)) drained = false;

@@ -12,6 +12,7 @@
 
 #include "common/failpoint.h"
 #include "common/hash.h"
+#include "common/lease.h"
 #include "core/scrub.h"
 #include "core/svc_ring.h"
 #include "core/write_behind.h"
@@ -239,6 +240,7 @@ std::unique_ptr<FileSystem> FileSystem::mount(nvmm::Device& nvmm,
   // Everyone else waits; a waiter inherits the job if the first-in dies
   // mid-recovery.
   if (fs->attachment_.first_in) {
+    wb_journal_clear_lock(nvmm);
     const bool clean =
         sb.clean_shutdown.exchange(0, std::memory_order_acq_rel) == 1;
     nvmm::persist_now(sb.clean_shutdown);
@@ -344,10 +346,18 @@ void FileSystem::poll_coordination_slow(std::uint64_t gen) {
 
 ReapReport FileSystem::reap_dead_mounts() {
   ReapReport r;
-  r.mounts = registry_->reap_dead(attachment_, [&](std::uint64_t tok) {
-    r.reserved_blocks += blocks_->reclaim_mount_reservations(tok);
-  });
-  const std::uint64_t now = wall_ns();
+  r.mounts = registry_->reap_dead(attachment_);
+  // Reservations of every peer without a registry slot: those just reaped,
+  // and a falsely reaped one that died before it reattached (it left no
+  // slot to expire).
+  r.reserved_blocks = blocks_->reclaim_mount_reservations(
+      [&](std::uint64_t tok) {
+        return tok != attachment_.token && !registry_->attached(tok);
+      });
+  mount_reclaims_.fetch_add(r.mounts, std::memory_order_relaxed);
+  reap_blocks_.fetch_add(r.reserved_blocks, std::memory_order_relaxed);
+  const std::uint64_t now = common::lease_now_ns();
+  const std::uint64_t lease = registry_->lease_ns();
   if (r.mounts > 0) {
     // The victim's lock-lease stamps can be YOUNGER than the registry
     // stamp that just expired (it heartbeat last before taking the locks
@@ -355,8 +365,7 @@ ReapReport FileSystem::reap_dead_mounts() {
     // stamp the victim left predates this reap, though, so a sweep that
     // STARTS one lease from now is guaranteed final: leave a sweep debt
     // that only such a mature sweep clears.
-    lock_sweep_due_ns_.store(now + registry_->lease_ns(),
-                             std::memory_order_relaxed);
+    lock_sweep_due_ns_.store(now + lease, std::memory_order_relaxed);
   }
   std::uint64_t due = lock_sweep_due_ns_.load(std::memory_order_relaxed);
   if (r.mounts == 0 && due == 0) return r;  // no dead slot, no debt
@@ -369,10 +378,17 @@ ReapReport FileSystem::reap_dead_mounts() {
                                                std::memory_order_relaxed);
   }
   std::uint64_t mask = 0;
-  r.file_locks = locks_->sweep_expired(&mask);
-  r.segment_locks = blocks_->reap_expired_segment_locks();
-  mount_reclaims_.fetch_add(r.mounts, std::memory_order_relaxed);
-  reap_blocks_.fetch_add(r.reserved_blocks, std::memory_order_relaxed);
+  unsigned pending = 0;
+  r.file_locks = locks_->sweep_expired(&mask, &pending);
+  r.segment_locks = blocks_->reap_expired_segment_locks(&pending);
+  if (pending > 0) {
+    // Stale-stamped locks the sweeps have not watched for a whole lease
+    // yet (common/lease.h): keep the debt armed so a later pass, a lease
+    // from now, judges them.
+    std::uint64_t none = 0;
+    lock_sweep_due_ns_.compare_exchange_strong(none, now + lease,
+                                               std::memory_order_relaxed);
+  }
   reap_file_locks_.fetch_add(r.file_locks, std::memory_order_relaxed);
   reap_segment_locks_.fetch_add(r.segment_locks, std::memory_order_relaxed);
   // The dead peer may have died mid-mutation of the inodes whose locks we

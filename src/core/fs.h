@@ -412,12 +412,13 @@ class FileSystem {
   std::atomic<std::uint64_t> reap_blocks_{0};
   std::atomic<std::uint64_t> reap_file_locks_{0};
   std::atomic<std::uint64_t> reap_segment_locks_{0};
-  // Outstanding lock-sweep debt (wall-clock ns; 0 = none): a victim's
+  // Outstanding lock-sweep debt (lease-clock ns; 0 = none): a victim's
   // registry stamp ages from its last heartbeat, but its lock stamps age
   // from the (later) acquisitions it died holding, so the sweep riding
   // the slot reap can run before those leases expire.  reap_dead_mounts
   // re-sweeps once the debt matures (one lease past the reap, by which
-  // time every stamp the victim left has aged out).
+  // time every stamp the victim left has aged out), and keeps it armed
+  // while the sweeps still watch stale-stamped locks.
   std::atomic<std::uint64_t> lock_sweep_due_ns_{0};
   // The heartbeat thread starts before the DRAM caches exist (recovery may
   // run between attach and make_walker); it only reaps once this flips.

@@ -5,8 +5,8 @@
 // every client process.  The table is open-addressed and keyed by inode
 // offset (the inode's identity), with slots claimed by CAS; lock words are
 // busy-wait reader/writer locks with a lease stamp so survivors can reset a
-// lock whose holder died (the same decentralized crash rule used
-// everywhere else in the file system).
+// lock whose holder died (the lease rule of common/lease.h, shared by every
+// cross-process lock in the file system).
 //
 // Slots are never reclaimed while the shm region lives: the table is sized
 // for the expected number of concurrently *active* files, and a full table
@@ -18,6 +18,7 @@
 #include <functional>
 #include <memory>
 
+#include "common/lease.h"
 #include "common/thread_annotations.h"
 #include "core/layout.h"
 
@@ -49,13 +50,15 @@ class FileLockTable {
   // Clears every lock (full-system recovery: all holders are gone).
   void reset_all();
 
-  // Survivor-side reclaim: releases every held lock whose stamp exceeded
-  // the lease (its holder died mid-section; the two-bit object protocol
-  // keeps whatever it was doing recoverable).  Returns locks released.
-  // When `shard_mask` is non-null, ORs in the cache shard bit
-  // (layout.h cache_shard_of) of every released lock's inode offset, so
-  // the caller can invalidate peer caches selectively.
-  unsigned sweep_expired(std::uint64_t* shard_mask = nullptr);
+  // Survivor-side reclaim: releases every held lock that stayed unchanged
+  // for a whole lease across sweeps (common/lease.h; its holder died
+  // mid-section, and the two-bit object protocol keeps whatever it was
+  // doing recoverable).  Returns locks released.  When `shard_mask` is
+  // non-null, ORs in the cache shard bit (layout.h cache_shard_of) of every
+  // released lock's inode offset, so the caller can invalidate peer caches
+  // selectively.  Adds to `pending` the stale-stamped locks still watched.
+  unsigned sweep_expired(std::uint64_t* shard_mask = nullptr,
+                         unsigned* pending = nullptr);
 
   FileLockStats& stats() noexcept { return *stats_; }
 
@@ -78,6 +81,8 @@ class FileLockTable {
   std::uint64_t lease_ns_ = 100'000'000;
   // Heap-held so the table stays movable.
   std::unique_ptr<FileLockStats> stats_ = std::make_unique<FileLockStats>();
+  std::unique_ptr<common::LeaseSweep> sweep_ =
+      std::make_unique<common::LeaseSweep>();
 };
 
 // Mount registry over the same ShmHeader (§4 "fully decentralized"):
@@ -86,8 +91,8 @@ class FileLockTable {
 // live heartbeat) owns the recovery decision; the last one out — and only
 // with no dirty deaths in between — marks the superblock clean.  Survivors
 // reap expired peers and reclaim their cross-process state without a
-// remount.  All transitions are serialised by a lease-stamped registry
-// spinlock so attach, detach and reap never interleave.
+// remount.  All transitions are serialised by the registry lease lock
+// (common/lease.h) so attach, detach and reap never interleave.
 class MountRegistry {
  public:
   MountRegistry(nvmm::Device& shm, std::uint64_t off)
@@ -139,11 +144,9 @@ class MountRegistry {
   // Re-claims a slot after a false reap, keeping the token.
   void reattach(Attachment& a);
 
-  // Reaps every foreign slot whose heartbeat lease expired: fn(dead_token)
-  // runs under the registry lock per victim, then the slot is cleared and
-  // dirty_deaths incremented.  Returns the number of victims.
-  unsigned reap_dead(const Attachment& a,
-                     const std::function<void(std::uint64_t)>& fn);
+  // Reaps every foreign slot whose heartbeat lease expired: the slot is
+  // cleared and dirty_deaths incremented.  Returns the number of victims.
+  unsigned reap_dead(const Attachment& a);
 
   void finish_recovery(const Attachment& a);
   // Blocks until no recovery is in flight.  Returns true if the recovering
@@ -151,6 +154,7 @@ class MountRegistry {
   // recover() itself, then finish_recovery().
   bool wait_recovery_done(const Attachment& a);
 
+  [[nodiscard]] bool attached(std::uint64_t token) const;
   [[nodiscard]] unsigned attached_mounts() const;
   [[nodiscard]] std::uint64_t dirty_deaths() const;
   void note_dirty_death(const Attachment& a);  // storm tests: mark our own

@@ -1,21 +1,14 @@
 // FileLockTable implementation (shared-DRAM runtime state).
 #include "core/shm.h"
 
-#include <time.h>
-
-#include <algorithm>
-
 #include "common/hash.h"
+#include "common/lease.h"
 
 namespace simurgh::core {
 
+using common::lease_now_ns;
+
 namespace {
-std::uint64_t monotonic_ns() noexcept {
-  timespec ts{};
-  ::clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
-         static_cast<std::uint64_t>(ts.tv_nsec);
-}
 constexpr std::uint32_t kWriterBit = 0x8000'0000u;
 }  // namespace
 
@@ -80,41 +73,29 @@ FileLock& FileLockTable::slot_for(std::uint64_t inode_off) {
 // a CAS protocol over the lock's raw atomic words (readers/writer counts,
 // lease stamps), which the analysis cannot model — the ACQUIRE/RELEASE
 // attributes on the declarations (shm.h) are the contract callers are
-// checked against.
-//
-// A holder stamps the lock just after its acquiring CAS, so a waiter can
-// find a live holder's lock still carrying an earlier holder's stamp (or a
-// fresh slot's 0).  The lease therefore runs from the later of the stamp
-// and the waiter's first failed attempt: only a holder that stayed silent
-// for a whole lease while we watched is presumed dead.
+// checked against.  Expiry and backoff follow common/lease.h; a steal
+// replaces whatever the word holds with our own acquisition.
 void FileLockTable::lock_shared(FileLock& l) NO_THREAD_SAFETY_ANALYSIS {
-  std::uint64_t wait_start = 0;  // set on the first failed attempt
+  common::LeaseWait wait;
   for (;;) {
     std::uint32_t cur = l.word.load(std::memory_order_relaxed);
     if ((cur & kWriterBit) == 0) {
       if (l.word.compare_exchange_weak(cur, cur + 1,
                                        std::memory_order_acquire)) {
-        l.stamp_ns.store(monotonic_ns(), std::memory_order_relaxed);
+        l.stamp_ns.store(lease_now_ns(), std::memory_order_relaxed);
         return;
       }
       continue;
     }
     // Writer present: lease check (crashed writer recovery).
-    if (wait_start == 0) wait_start = monotonic_ns();
-    const std::uint64_t stamp =
-        std::max(l.stamp_ns.load(std::memory_order_relaxed), wait_start);
-    if (monotonic_ns() - stamp > lease_ns_) {
-      std::uint32_t expected = cur;
-      if (l.word.compare_exchange_strong(expected, 1,
-                                         std::memory_order_acq_rel)) {
-        l.stamp_ns.store(monotonic_ns(), std::memory_order_relaxed);
-        stats_->lease_steals.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
+    if (wait.expired(cur, l.stamp_ns.load(std::memory_order_relaxed),
+                     lease_ns_) &&
+        l.word.compare_exchange_strong(cur, 1, std::memory_order_acq_rel)) {
+      l.stamp_ns.store(lease_now_ns(), std::memory_order_relaxed);
+      stats_->lease_steals.fetch_add(1, std::memory_order_relaxed);
+      return;
     }
-#if defined(__x86_64__)
-    __builtin_ia32_pause();
-#endif
+    wait.backoff();
   }
 }
 
@@ -123,29 +104,24 @@ void FileLockTable::unlock_shared(FileLock& l) NO_THREAD_SAFETY_ANALYSIS {
 }
 
 void FileLockTable::lock_exclusive(FileLock& l) NO_THREAD_SAFETY_ANALYSIS {
-  std::uint64_t wait_start = 0;  // set on the first failed attempt
+  common::LeaseWait wait;
   for (;;) {
-    std::uint32_t expected = 0;
-    if (l.word.compare_exchange_weak(expected, kWriterBit,
+    std::uint32_t cur = 0;
+    if (l.word.compare_exchange_weak(cur, kWriterBit,
                                      std::memory_order_acquire)) {
-      l.stamp_ns.store(monotonic_ns(), std::memory_order_relaxed);
+      l.stamp_ns.store(lease_now_ns(), std::memory_order_relaxed);
       return;
     }
-    if (wait_start == 0) wait_start = monotonic_ns();
-    const std::uint64_t stamp =
-        std::max(l.stamp_ns.load(std::memory_order_relaxed), wait_start);
-    if (monotonic_ns() - stamp > lease_ns_) {
-      std::uint32_t cur = l.word.load(std::memory_order_relaxed);
-      if (cur != 0 && l.word.compare_exchange_strong(
-                          cur, kWriterBit, std::memory_order_acq_rel)) {
-        l.stamp_ns.store(monotonic_ns(), std::memory_order_relaxed);
-        stats_->lease_steals.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
+    if (cur != 0 &&
+        wait.expired(cur, l.stamp_ns.load(std::memory_order_relaxed),
+                     lease_ns_) &&
+        l.word.compare_exchange_strong(cur, kWriterBit,
+                                       std::memory_order_acq_rel)) {
+      l.stamp_ns.store(lease_now_ns(), std::memory_order_relaxed);
+      stats_->lease_steals.fetch_add(1, std::memory_order_relaxed);
+      return;
     }
-#if defined(__x86_64__)
-    __builtin_ia32_pause();
-#endif
+    wait.backoff();
   }
 }
 
@@ -162,29 +138,30 @@ void FileLockTable::reset_all() {
   }
 }
 
-unsigned FileLockTable::sweep_expired(std::uint64_t* shard_mask) {
-  const std::uint64_t n = header().n_locks;
+unsigned FileLockTable::sweep_expired(std::uint64_t* shard_mask,
+                                      unsigned* pending) {
   FileLock* ls = locks();
-  const std::uint64_t now = monotonic_ns();
-  unsigned released = 0;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::uint32_t w = ls[i].word.load(std::memory_order_relaxed);
-    if (w == 0) continue;
-    const std::uint64_t stamp =
-        ls[i].stamp_ns.load(std::memory_order_relaxed);
-    if (now - stamp <= lease_ns_) continue;
-    if (ls[i].word.compare_exchange_strong(w, 0,
-                                           std::memory_order_acq_rel)) {
-      ++released;
-      stats_->lease_steals.fetch_add(1, std::memory_order_relaxed);
-      if (shard_mask != nullptr) {
-        const std::uint64_t ino =
-            ls[i].inode_off.load(std::memory_order_relaxed);
-        *shard_mask |= 1ull << cache_shard_of(ino);
-      }
-    }
-  }
-  return released;
+  return sweep_->pass(
+      header().n_locks, lease_ns_,
+      [&](std::uint64_t i, std::uint64_t& word, std::uint64_t& stamp) {
+        word = ls[i].word.load(std::memory_order_relaxed);
+        stamp = ls[i].stamp_ns.load(std::memory_order_relaxed);
+        return word != 0;
+      },
+      [&](std::uint64_t i, std::uint64_t word) {
+        auto w = static_cast<std::uint32_t>(word);
+        if (!ls[i].word.compare_exchange_strong(w, 0,
+                                                std::memory_order_acq_rel))
+          return false;
+        stats_->lease_steals.fetch_add(1, std::memory_order_relaxed);
+        if (shard_mask != nullptr) {
+          const std::uint64_t ino =
+              ls[i].inode_off.load(std::memory_order_relaxed);
+          *shard_mask |= 1ull << cache_shard_of(ino);
+        }
+        return true;
+      },
+      pending);
 }
 
 // ---- MountRegistry ----
@@ -192,38 +169,13 @@ unsigned FileLockTable::sweep_expired(std::uint64_t* shard_mask) {
 void MountRegistry::lock_registry(std::uint64_t self) const
     NO_THREAD_SAFETY_ANALYSIS {  // see FileLockTable::lock_shared
   ShmHeader& h = header();
-  for (;;) {
-    std::uint64_t expected = 0;
-    if (h.registry_lock.compare_exchange_weak(expected, self,
-                                              std::memory_order_acquire)) {
-      h.registry_lock_stamp_ns.store(monotonic_ns(),
-                                     std::memory_order_relaxed);
-      return;
-    }
-    const std::uint64_t stamp =
-        h.registry_lock_stamp_ns.load(std::memory_order_relaxed);
-    if (expected != 0 && monotonic_ns() - stamp > lease_ns()) {
-      if (h.registry_lock.compare_exchange_strong(
-              expected, self, std::memory_order_acquire)) {
-        h.registry_lock_stamp_ns.store(monotonic_ns(),
-                                       std::memory_order_relaxed);
-        return;
-      }
-    }
-#if defined(__x86_64__)
-    __builtin_ia32_pause();
-#endif
-  }
+  common::lease_lock(h.registry_lock, h.registry_lock_stamp_ns, self,
+                     lease_ns());
 }
 
 void MountRegistry::unlock_registry(std::uint64_t self) const
     NO_THREAD_SAFETY_ANALYSIS {  // see FileLockTable::lock_shared
-  // CAS, not a blind store: a holder that outlived its lease was stolen
-  // from, and a plain store here would release the thief's critical
-  // section out from under it.
-  std::uint64_t expected = self;
-  header().registry_lock.compare_exchange_strong(expected, 0,
-                                                 std::memory_order_release);
+  common::lease_unlock(header().registry_lock, self);
 }
 
 bool MountRegistry::slot_live(const MountSlot& s,
@@ -242,7 +194,7 @@ MountRegistry::Attachment MountRegistry::attach_mount() {
   Attachment a;
   a.token = token;
   lock_registry(token);
-  const std::uint64_t now = monotonic_ns();
+  const std::uint64_t now = lease_now_ns();
   bool any_live = false;
   for (const MountSlot& s : h.mounts)
     if (slot_live(s, now)) any_live = true;
@@ -298,7 +250,7 @@ void MountRegistry::detach_mount(const Attachment& a,
     // gate the clean store on still owning the lock: the remaining window
     // is lease-sized from a fresh stamp, not drain-sized.
     if (h.registry_lock.load(std::memory_order_acquire) == a.token) {
-      h.registry_lock_stamp_ns.store(monotonic_ns(),
+      h.registry_lock_stamp_ns.store(lease_now_ns(),
                                      std::memory_order_relaxed);
       if (h.registry_lock.load(std::memory_order_acquire) == a.token &&
           mark_clean)
@@ -317,7 +269,7 @@ bool MountRegistry::heartbeat(const Attachment& a) {
   // token; on a mismatch undo our stamp (if it is still ours) instead of
   // extending a foreign lease.
   std::uint64_t prev = s.heartbeat_ns.load(std::memory_order_relaxed);
-  const std::uint64_t now = monotonic_ns();
+  const std::uint64_t now = lease_now_ns();
   if (!s.heartbeat_ns.compare_exchange_strong(prev, now,
                                               std::memory_order_relaxed)) {
     // Concurrent writer — a reaper zeroing the slot, a claimant stamping
@@ -348,7 +300,7 @@ void MountRegistry::reattach(Attachment& a) {
     }
   }
   if (idx < kMaxMountSlots) {
-    h.mounts[idx].heartbeat_ns.store(monotonic_ns(),
+    h.mounts[idx].heartbeat_ns.store(lease_now_ns(),
                                      std::memory_order_relaxed);
   } else {
     for (unsigned i = 0; i < kMaxMountSlots; ++i) {
@@ -359,7 +311,7 @@ void MountRegistry::reattach(Attachment& a) {
     }
     SIMURGH_CHECK(idx < kMaxMountSlots);
     h.mounts[idx].attach_gen.store(a.token, std::memory_order_relaxed);
-    h.mounts[idx].heartbeat_ns.store(monotonic_ns(),
+    h.mounts[idx].heartbeat_ns.store(lease_now_ns(),
                                      std::memory_order_relaxed);
     h.mounts[idx].token.store(a.token, std::memory_order_release);
   }
@@ -367,18 +319,16 @@ void MountRegistry::reattach(Attachment& a) {
   unlock_registry(a.token);
 }
 
-unsigned MountRegistry::reap_dead(
-    const Attachment& a, const std::function<void(std::uint64_t)>& fn) {
+unsigned MountRegistry::reap_dead(const Attachment& a) {
   ShmHeader& h = header();
   lock_registry(a.token);
-  const std::uint64_t now = monotonic_ns();
+  const std::uint64_t now = lease_now_ns();
   unsigned reaped = 0;
   for (MountSlot& s : h.mounts) {
     const std::uint64_t tok = s.token.load(std::memory_order_acquire);
     if (tok == 0 || tok == a.token) continue;
     if (now - s.heartbeat_ns.load(std::memory_order_relaxed) <= lease_ns())
       continue;
-    if (fn) fn(tok);
     s.token.store(0, std::memory_order_relaxed);
     s.heartbeat_ns.store(0, std::memory_order_relaxed);
     h.dirty_deaths.fetch_add(1, std::memory_order_relaxed);
@@ -396,12 +346,13 @@ void MountRegistry::finish_recovery(const Attachment& a) {
 
 bool MountRegistry::wait_recovery_done(const Attachment& a) {
   ShmHeader& h = header();
+  common::LeaseWait wait;  // for its backoff; liveness is the heartbeat's
   for (;;) {
     const std::uint64_t r = h.recovering.load(std::memory_order_acquire);
     if (r == 0) return false;
     if (r == a.token) return true;
     // Is the recovering mount still alive?
-    const std::uint64_t now = monotonic_ns();
+    const std::uint64_t now = lease_now_ns();
     bool live = false;
     for (const MountSlot& s : h.mounts) {
       if (s.token.load(std::memory_order_acquire) == r &&
@@ -416,10 +367,14 @@ bool MountRegistry::wait_recovery_done(const Attachment& a) {
                                                std::memory_order_acq_rel))
         return true;
     }
-#if defined(__x86_64__)
-    __builtin_ia32_pause();
-#endif
+    wait.backoff();
   }
+}
+
+bool MountRegistry::attached(std::uint64_t token) const {
+  for (const MountSlot& s : header().mounts)
+    if (s.token.load(std::memory_order_acquire) == token) return true;
+  return false;
 }
 
 unsigned MountRegistry::attached_mounts() const {

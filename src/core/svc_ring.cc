@@ -1,27 +1,19 @@
 // Metadata-service mode implementation (see svc_ring.h for the protocol).
 #include "core/svc_ring.h"
 
-#include <time.h>
-
 #include <cstring>
 #include <new>
 
 #include "common/failpoint.h"
 #include "common/hash.h"
+#include "common/lease.h"
 #include "core/fs.h"
 #include "core/inode.h"
 #include "core/shm.h"
 
 namespace simurgh::core {
 
-namespace {
-std::uint64_t now_ns() noexcept {
-  timespec ts{};
-  ::clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
-         static_cast<std::uint64_t>(ts.tv_nsec);
-}
-}  // namespace
+using common::lease_now_ns;
 
 std::uint64_t MetaService::ring_offset(nvmm::Device& shm) {
   const auto& h = *reinterpret_cast<const ShmHeader*>(shm.base());
@@ -120,7 +112,7 @@ bool MetaService::is_owner() const noexcept {
 }
 
 bool MetaService::try_elect() {
-  const std::uint64_t now = now_ns();
+  const std::uint64_t now = lease_now_ns();
   std::uint64_t cur = hdr_->owner_token.load(std::memory_order_acquire);
   if (cur == token_) return true;
   if (cur != 0 &&
@@ -164,7 +156,7 @@ void MetaService::server_main() {
     // Refresh the seat lease; stand down if a peer stole it (our lease
     // expired — e.g. this process was stopped under a debugger).
     if (hdr_->owner_token.load(std::memory_order_acquire) != token_) return;
-    hdr_->owner_stamp_ns.store(now_ns(), std::memory_order_release);
+    hdr_->owner_stamp_ns.store(lease_now_ns(), std::memory_order_release);
     bool did = false;
     try {
       did = serve_once();
@@ -316,7 +308,7 @@ void MetaService::publish(SvcSlot& s, Status st, std::uint64_t r0) {
   s.r0 = r0;
   s.seq.store(sq + 2, std::memory_order_release);  // even: response stable
   if (lease_expired(s.client_stamp_ns.load(std::memory_order_acquire),
-                    now_ns())) {
+                    lease_now_ns())) {
     // The waiter died: nobody will consume the response; reap the slot.
     s.phase.store(kSvcFree, std::memory_order_release);
   } else {
@@ -337,7 +329,7 @@ SvcSlot* MetaService::claim_slot() {
         // executing (the failover takeover path owns those).
         if (ph == kSvcExecuting) continue;
         if (!lease_expired(s.client_stamp_ns.load(std::memory_order_acquire),
-                           now_ns()))
+                           lease_now_ns()))
           continue;
         if (!s.phase.compare_exchange_strong(ph, kSvcFree,
                                              std::memory_order_acq_rel))
@@ -347,7 +339,7 @@ SvcSlot* MetaService::claim_slot() {
       if (s.phase.compare_exchange_strong(expect, kSvcClaimed,
                                           std::memory_order_acq_rel)) {
         s.client_token.store(token_, std::memory_order_relaxed);
-        s.client_stamp_ns.store(now_ns(), std::memory_order_release);
+        s.client_stamp_ns.store(lease_now_ns(), std::memory_order_release);
         return &s;
       }
     }
@@ -392,7 +384,7 @@ Status MetaService::request(SvcOp op, const protsec::Credentials& cred,
       // busy and let the caller retry against current state.
       return Status(Errc::busy);
     }
-    const std::uint64_t now = now_ns();
+    const std::uint64_t now = lease_now_ns();
     s->client_stamp_ns.store(now, std::memory_order_release);
     if (hdr_->owner_token.load(std::memory_order_acquire) == 0 ||
         lease_expired(hdr_->owner_stamp_ns.load(std::memory_order_acquire),

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/lease.h"
 #include "core/fs.h"
 #include "core/inode.h"
 #include "core/shm.h"
@@ -53,6 +54,10 @@ bool wb_journal_roll_forward(nvmm::Device& dev) {
   nvmm::persist(&j.state, sizeof j.state);
   nvmm::fence();
   return applied;
+}
+
+void wb_journal_clear_lock(nvmm::Device& dev) {
+  journal_at(dev).lock_token.store(0, std::memory_order_release);
 }
 
 WriteBehind::WriteBehind(FileSystem& fs, const Config& cfg)
@@ -503,63 +508,28 @@ void WriteBehind::drain_epoch(Epoch& e) {
   drained_bytes_.fetch_add(e.bytes, std::memory_order_relaxed);
 }
 
-namespace {
-
-// The lease-lock acquire loop, shared by the mount-local drain path and the
-// standalone locked roll-forward below.  Returns whether a dead holder's
-// armed epoch was rolled forward as part of a lock steal.
-bool lock_journal_raw(WbJournal& j, nvmm::Device& dev, std::uint64_t token,
-                      std::uint64_t lease_ns) {
-  if (token == 0) token = 1;  // format-time drains predate registration
-  for (;;) {
-    std::uint64_t cur = j.lock_token.load(std::memory_order_acquire);
-    if (cur == 0) {
-      if (j.lock_token.compare_exchange_weak(cur, token,
-                                             std::memory_order_acq_rel)) {
-        j.lock_stamp_ns.store(wall_ns(), std::memory_order_release);
-        return false;
-      }
-      continue;
-    }
-    const std::uint64_t stamp =
-        j.lock_stamp_ns.load(std::memory_order_acquire);
-    const std::uint64_t now = wall_ns();
-    if (stamp != 0 && now > stamp + lease_ns) {
-      // Dead holder: steal the lock, then roll forward any epoch it left
-      // armed before draining our own.
-      if (j.lock_token.compare_exchange_weak(cur, token,
-                                             std::memory_order_acq_rel)) {
-        j.lock_stamp_ns.store(now, std::memory_order_release);
-        return wb_journal_roll_forward(dev);
-      }
-      continue;
-    }
-    std::this_thread::yield();
-  }
-}
-
-}  // namespace
-
 bool wb_journal_roll_forward_locked(nvmm::Device& dev, std::uint64_t token,
                                     std::uint64_t lease_ns) {
   WbJournal& j = journal_at(dev);
-  bool applied = lock_journal_raw(j, dev, token, lease_ns);
-  applied = wb_journal_roll_forward(dev) || applied;
-  j.lock_token.store(0, std::memory_order_release);
+  common::lease_lock(j.lock_token, j.lock_stamp_ns, token, lease_ns);
+  const bool applied = wb_journal_roll_forward(dev);
+  common::lease_unlock(j.lock_token, token);
   return applied;
 }
 
 // NO_THREAD_SAFETY_ANALYSIS on both bodies: the journal lease lock is a CAS
-// protocol over raw atomic words (lock_journal_raw) the analysis cannot
+// protocol over raw atomic words (common/lease.h) the analysis cannot
 // model; the ACQUIRE/RELEASE attributes on the declarations (write_behind.h)
 // are the contract callers are checked against.
 void WriteBehind::lock_journal(WbJournal& j) NO_THREAD_SAFETY_ANALYSIS {
-  (void)lock_journal_raw(j, fs_.dev(), fs_.mount_token(),
-                         lease_ns_.load(std::memory_order_relaxed));
+  // A steal from a dead holder first rolls forward any epoch it left armed.
+  if (common::lease_lock(j.lock_token, j.lock_stamp_ns, fs_.mount_token(),
+                         lease_ns_.load(std::memory_order_relaxed)))
+    (void)wb_journal_roll_forward(fs_.dev());
 }
 
 void WriteBehind::unlock_journal(WbJournal& j) NO_THREAD_SAFETY_ANALYSIS {
-  j.lock_token.store(0, std::memory_order_release);
+  common::lease_unlock(j.lock_token, fs_.mount_token());
 }
 
 // ---- persister ----

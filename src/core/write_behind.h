@@ -66,6 +66,11 @@ bool wb_journal_roll_forward(nvmm::Device& dev);
 // and its lock is stolen (armed epoch rolled forward by the stealer).
 inline constexpr std::uint64_t kWbLeaseNs = 2'000'000'000;
 
+// Frees the journal's lease lock outright.  Only for a new era's first
+// mount: the lock word lives in NVMM and survives a crash, but no live peer
+// can hold it, so waiting out a lease for its dead holder gains nothing.
+void wb_journal_clear_lock(nvmm::Device& dev);
+
 // Like wb_journal_roll_forward, but takes the journal's lease lock first
 // (with the dead-holder steal path).  recover() on a shared device must use
 // this: a live peer may be mid-drain, and an unlocked roll-forward would

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "alloc/block_alloc.h"
+#include "common/lease.h"
 #include "common/rng.h"
 
 namespace simurgh::alloc {
@@ -47,6 +49,13 @@ class BlockAllocTest : public ::testing::Test {
     auto b = BlockAllocator::attach(dev_, kHeaderOff);
     b.attach_shared_state(shared_.get(), mount_token);
     return b;
+  }
+
+  // Segment headers start at the first cache line past the allocator
+  // header (block_alloc.h segments()).
+  SegmentHeader* segments() {
+    return reinterpret_cast<SegmentHeader*>(
+        dev_.at((kHeaderOff + sizeof(BlockAllocHeader) + 63) / 64 * 64));
   }
 
   // Unused blocks parked in the slots of `mount_token`.
@@ -203,6 +212,58 @@ TEST_F(BlockAllocTest, LeaseStealRecoversCrashedHolder) {
   auto r = alloc_.alloc(1, 0);  // must steal rather than hang
   EXPECT_TRUE(r.is_ok());
   EXPECT_GE(alloc_.stats().lock_steals, 1u);
+}
+
+// A live holder that has taken every segment lock but not stamped it yet
+// (stamp 0): it stamps at lease/4 and releases at 3·lease/4.  The
+// allocation must wait for it, not steal (common/lease.h).
+TEST_F(BlockAllocTest, LeaseSegmentLockWaitsOutLiveHolderWithZeroStamp) {
+  constexpr std::uint64_t kLease = 200'000'000;  // 200 ms
+  constexpr std::uint64_t kLive = 0x5eed;
+  alloc_.set_lease_ns(kLease);
+  SegmentHeader* segs = segments();
+  const std::uint64_t n = alloc_.n_segments();
+  for (std::uint64_t s = 0; s < n; ++s) {
+    segs[s].lock.owner.store(kLive, std::memory_order_relaxed);
+    segs[s].lock.last_accessed_ns.store(0, std::memory_order_relaxed);
+  }
+  std::thread holder([&] {
+    std::this_thread::sleep_for(std::chrono::nanoseconds(kLease / 4));
+    for (std::uint64_t s = 0; s < n; ++s)
+      segs[s].lock.last_accessed_ns.store(common::lease_now_ns(),
+                                          std::memory_order_relaxed);
+    std::this_thread::sleep_for(std::chrono::nanoseconds(kLease / 2));
+    for (std::uint64_t s = 0; s < n; ++s) {
+      std::uint64_t mine = kLive;
+      segs[s].lock.owner.compare_exchange_strong(mine, 0);
+    }
+  });
+  EXPECT_TRUE(alloc_.alloc(1, 0).is_ok());
+  holder.join();
+  EXPECT_EQ(alloc_.stats().lock_steals.load(), 0u);
+}
+
+// The reaper's pass that first sees a held segment lock only starts the
+// watch: a live holder whose stamp is stale keeps its lock, a dead one
+// loses it after one lease.
+TEST_F(BlockAllocTest, LeaseReapSparesLiveHolderWithStaleStamp) {
+  alloc_.set_lease_ns(20'000'000);  // 20 ms
+  SegmentHeader* segs = segments();
+  for (unsigned s : {0u, 1u}) {
+    segs[s].lock.owner.store(0x5eed + s, std::memory_order_relaxed);
+    segs[s].lock.last_accessed_ns.store(1, std::memory_order_relaxed);
+  }
+  EXPECT_EQ(alloc_.reap_expired_segment_locks(), 0u);
+  EXPECT_EQ(segs[0].lock.owner.load(), 0x5eedu);
+  // Segment 0's holder is alive and stamps; segment 1's stays silent.
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  segs[0].lock.last_accessed_ns.store(common::lease_now_ns(),
+                                      std::memory_order_relaxed);
+  std::this_thread::sleep_for(std::chrono::milliseconds(15));
+  EXPECT_EQ(alloc_.reap_expired_segment_locks(), 1u);
+  EXPECT_EQ(segs[0].lock.owner.load(), 0x5eedu);
+  EXPECT_EQ(segs[1].lock.owner.load(), 0u);
+  EXPECT_EQ(alloc_.stats().lock_steals.load(), 1u);
 }
 
 TEST_F(BlockAllocTest, RebuildFreeListsFromMark) {
@@ -387,7 +448,9 @@ TEST_F(BlockAllocTest, TwoMountsShareOneShmStateWithoutDoubleHanding) {
   const std::uint64_t dead = reserved_by(kMountB);
   const std::uint64_t survivor = reserved_by(kMountA);
   ASSERT_GE(dead, BlockAllocator::kReserveChunk - 1);
-  EXPECT_EQ(alloc_.reclaim_mount_reservations(kMountB), dead);
+  EXPECT_EQ(alloc_.reclaim_mount_reservations(
+                [](std::uint64_t tok) { return tok == kMountB; }),
+            dead);
   EXPECT_EQ(reserved_by(kMountB), 0u);
   EXPECT_EQ(reserved_by(kMountA), survivor);  // peers' chunks untouched
   EXPECT_EQ(alloc_.reserved_unused_blocks(), survivor);

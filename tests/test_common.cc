@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "common/failpoint.h"
 #include "common/hash.h"
+#include "common/lease.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/table.h"
@@ -175,6 +178,147 @@ TEST(FailPoint, HitCountsAreThreadLocal) {
   FailPoint::arm("t.tl.main", /*skip=*/5);
   EXPECT_EQ(FailPoint::hits(), 0u);
   FailPoint::disarm();
+}
+
+// ---- lease locks (common/lease.h) ----
+
+// The expiry rule on a synthetic clock: `since` is when the observer
+// started watching, kL the lease.
+constexpr std::uint64_t kL = 1'000'000;
+
+TEST(Lease, ZeroOrStaleStampIsNotExpiredBeforeOneLeaseOfWatching) {
+  const std::uint64_t since = 10 * kL;
+  for (const std::uint64_t stamp : {std::uint64_t{0}, std::uint64_t{1},
+                                    since - 2 * kL}) {
+    EXPECT_FALSE(common::lease_expired(stamp, since, since, kL)) << stamp;
+    EXPECT_FALSE(common::lease_expired(stamp, since, since + kL, kL))
+        << stamp;
+    // A holder that never stamps is presumed dead after one lease.
+    EXPECT_TRUE(common::lease_expired(stamp, since, since + kL + 1, kL))
+        << stamp;
+  }
+}
+
+TEST(Lease, StampSeenWhileWatchingRestartsTheLease) {
+  const std::uint64_t since = 10 * kL;
+  const std::uint64_t stamp = since + kL / 2;
+  EXPECT_FALSE(common::lease_expired(stamp, since, since + kL + 1, kL));
+  EXPECT_TRUE(common::lease_expired(stamp, since, stamp + kL + 1, kL));
+}
+
+TEST(Lease, FutureStampDoesNotCountAsExpired) {
+  const std::uint64_t now = 10 * kL;
+  const std::uint64_t future = ~0ull >> 2;
+  // Judged alone (since 0) or freshly watched, the old `now - stamp`
+  // arithmetic wrapped around and read a future stamp as long expired.
+  EXPECT_FALSE(common::lease_expired(now + 1, now, now, kL));
+  EXPECT_FALSE(common::lease_expired(future, now - kL / 2, now, kL));
+  // It proves nothing either: a whole lease of watching still expires it.
+  EXPECT_TRUE(common::lease_expired(future, now - kL - 1, now, kL));
+}
+
+TEST(Lease, LockWaitsOutLiveHolderWithZeroStamp) {
+  constexpr std::uint64_t kLease = 200'000'000;  // 200 ms
+  constexpr std::uint64_t kHolder = 0x5eed;
+  std::atomic<std::uint64_t> owner{kHolder};
+  std::atomic<std::uint64_t> stamp{0};  // took the word, not stamped yet
+  std::atomic<bool> released_own{false};
+  std::thread holder([&] {
+    std::this_thread::sleep_for(std::chrono::nanoseconds(kLease / 4));
+    stamp.store(common::lease_now_ns(), std::memory_order_relaxed);
+    std::this_thread::sleep_for(std::chrono::nanoseconds(kLease / 2));
+    released_own = common::lease_unlock(owner, kHolder);
+  });
+  const std::uint64_t self = common::lease_self_token();
+  EXPECT_FALSE(common::lease_lock(owner, stamp, self, kLease));
+  holder.join();
+  EXPECT_TRUE(released_own.load());
+  EXPECT_TRUE(common::lease_unlock(owner, self));
+}
+
+TEST(Lease, LockStealsFromHolderThatNeverStampsAfterOneLease) {
+  constexpr std::uint64_t kLease = 20'000'000;  // 20 ms
+  std::atomic<std::uint64_t> owner{0xdead};
+  std::atomic<std::uint64_t> stamp{0};
+  const std::uint64_t t0 = common::lease_now_ns();
+  EXPECT_TRUE(common::lease_lock(owner, stamp, common::lease_self_token(),
+                                 kLease));
+  EXPECT_GT(common::lease_now_ns() - t0, kLease);
+  EXPECT_EQ(owner.load(), common::lease_self_token());
+}
+
+TEST(Lease, StolenFromHolderUnlockLeavesThiefsLockHeld) {
+  constexpr std::uint64_t kStalled = 0xa1;
+  constexpr std::uint64_t kThief = 0xb3;
+  std::atomic<std::uint64_t> owner{kStalled};
+  std::atomic<std::uint64_t> stamp{1};
+  EXPECT_TRUE(common::lease_lock(owner, stamp, kThief, 2'000'000));
+  // The stalled holder wakes up and releases: the thief must keep the word.
+  EXPECT_FALSE(common::lease_unlock(owner, kStalled));
+  EXPECT_EQ(owner.load(), kThief);
+  EXPECT_TRUE(common::lease_unlock(owner, kThief));
+  EXPECT_EQ(owner.load(), 0u);
+}
+
+TEST(Lease, WaitRestartsWhenTheHolderChanges) {
+  constexpr std::uint64_t kLease = 2'000'000;  // 2 ms
+  common::LeaseWait wait;
+  EXPECT_FALSE(wait.expired(0xa1, 1, kLease));
+  std::this_thread::sleep_for(std::chrono::nanoseconds(2 * kLease));
+  // A new word or a new stamp is a sign of life: watch from scratch.
+  EXPECT_FALSE(wait.expired(0xb3, 1, kLease));
+  EXPECT_FALSE(wait.expired(0xb3, 2, kLease));
+  std::this_thread::sleep_for(std::chrono::nanoseconds(2 * kLease));
+  EXPECT_TRUE(wait.expired(0xb3, 2, kLease));
+}
+
+TEST(Lease, SweepReapsOnlySlotsWatchedUnchangedForOneLease) {
+  constexpr std::uint64_t kLease = 2'000'000;  // 2 ms
+  // Slot 0: a dead holder.  Slot 1: a live holder whose stamp is stale
+  // when first seen and then refreshed.  Slot 2: free.
+  std::uint64_t word[3] = {0xa1, 0xb3, 0};
+  std::uint64_t stamp[3] = {1, 1, 0};
+  common::LeaseSweep sweep;
+  auto pass = [&](unsigned* pending) {
+    return sweep.pass(
+        3, kLease,
+        [&](std::uint64_t i, std::uint64_t& w, std::uint64_t& s) {
+          w = word[i];
+          s = stamp[i];
+          return w != 0;
+        },
+        [&](std::uint64_t i, std::uint64_t w) {
+          if (word[i] != w) return false;
+          word[i] = 0;
+          return true;
+        },
+        pending);
+  };
+  unsigned pending = 0;
+  EXPECT_EQ(pass(&pending), 0u);  // first sight only starts the watch
+  EXPECT_EQ(pending, 2u);
+  stamp[1] = common::lease_now_ns();
+  std::this_thread::sleep_for(std::chrono::nanoseconds(2 * kLease));
+  pending = 0;
+  EXPECT_EQ(pass(&pending), 1u);
+  EXPECT_EQ(word[0], 0u);
+  EXPECT_EQ(word[1], 0xb3u);  // re-stamped between passes: watched anew
+  EXPECT_EQ(pending, 1u);
+}
+
+TEST(Lease, SelfTokensAreNonzeroAndDistinctPerThread) {
+  constexpr int kThreads = 8;
+  std::vector<std::uint64_t> tokens(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i)
+    threads.emplace_back([&tokens, i] {
+      tokens[i] = common::lease_self_token();
+      EXPECT_EQ(tokens[i], common::lease_self_token());  // stable
+    });
+  for (auto& t : threads) t.join();
+  const std::set<std::uint64_t> distinct(tokens.begin(), tokens.end());
+  EXPECT_EQ(distinct.size(), tokens.size());
+  for (const std::uint64_t t : tokens) EXPECT_NE(t, 0u);
 }
 
 }  // namespace

@@ -383,11 +383,19 @@ TEST_F(MultiMountTest, KillOneMountStormSurvivorReclaimsAndImageChecksClean) {
   pa_.reset();
   fs_a_.reset();  // the rest of "process A" dies with it; no unmount
 
-  // Phase 3: B waits out the lease and reclaims everything A stranded
-  // (its background heartbeat thread may beat the explicit call to it).
-  std::this_thread::sleep_for(std::chrono::milliseconds(120));
-  (void)fs_b_->reap_dead_mounts();
-  const core::ReapReport r = fs_b_->reap_totals();
+  // Phase 3: B waits out A's mount lease, then one more lease of watching
+  // A's stale lock stamps (common/lease.h: the reap pass that first sees a
+  // held lock only starts the watch), and reclaims everything A stranded.
+  // Its background heartbeat thread may beat the explicit calls to it.
+  core::ReapReport r;
+  for (int i = 0; i < 100; ++i) {  // ~2 s = 40 leases at most
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    (void)fs_b_->reap_dead_mounts();
+    r = fs_b_->reap_totals();
+    if (r.mounts >= 1 && r.reserved_blocks > 0 && r.file_locks >= 1 &&
+        r.segment_locks >= 1)
+      break;
+  }
   EXPECT_GE(r.mounts, 1u);  // >=: a falsely reaped, reattached A dies twice
   EXPECT_GT(r.reserved_blocks, 0u);   // stranded reservation chunks
   EXPECT_GE(r.file_locks, 1u);        // /doomed's exclusive lock

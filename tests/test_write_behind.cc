@@ -242,8 +242,9 @@ TEST_F(WriteBehindTest, ReadRacingTheDrainStampStillSeesStagedBytes) {
   const core::Inode* ino = fs_->inode_at(ino_off);
 
   auto& j = *reinterpret_cast<core::WbJournal*>(nvmm_->at(core::kWbJournalOff));
-  // A live peer's journal lock: its stamp lies far in the future, so the
-  // lease never reads as expired.
+  // A live peer's journal lock.  Its far-future stamp proves nothing
+  // (common/lease.h), so the drain presumes the holder dead only after one
+  // whole 2 s journal lease of watching — far past this test's 100 ms hold.
   j.lock_stamp_ns.store(~0ull >> 2, std::memory_order_release);
   j.lock_token.store(0xfeed, std::memory_order_release);
   std::thread drainer([&] { wb_->commit_epoch_now(); });
@@ -532,9 +533,11 @@ TEST_F(WriteBehindTest, RecoverStealsJournalLockThenRollsForward) {
   j.epoch_seq = j.committed_seq.load(std::memory_order_relaxed) + 1;
   j.n_entries = 0;
   j.state.store(core::kWbJournalArmed, std::memory_order_release);
-  // A dead peer's lock: foreign token, lease long expired.
+  // A dead peer's lock: foreign token, stamp long stale.  The steal waits
+  // one journal lease of watching, so keep that lease short.
   j.lock_token.store(0xdeadbeef, std::memory_order_release);
   j.lock_stamp_ns.store(1, std::memory_order_release);
+  wb_->set_lease_ns(5'000'000);  // 5 ms
   const core::RecoveryReport rr = fs_->recover();
   EXPECT_EQ(rr.wb_epochs_rolled_forward, 1u);
   EXPECT_EQ(j.state.load(std::memory_order_acquire), core::kWbJournalIdle);
