@@ -156,17 +156,6 @@ double run_append_mt(core::FileSystem& fs, int threads, std::uint64_t ops,
   return ns_per_op(t0, t1, ops * static_cast<std::uint64_t>(threads));
 }
 
-// Minimal flat-JSON number scraper for the baseline file: finds
-// "key": <number> and returns the number, or nan.
-double json_number(const std::string& text, const std::string& key) {
-  const std::string needle = "\"" + key + "\"";
-  const std::size_t k = text.find(needle);
-  if (k == std::string::npos) return std::nan("");
-  const std::size_t colon = text.find(':', k);
-  if (colon == std::string::npos) return std::nan("");
-  return std::strtod(text.c_str() + colon + 1, nullptr);
-}
-
 }  // namespace
 
 int main() {

@@ -1,5 +1,5 @@
-// Host-environment stamp and rep statistic shared by every BENCH_*.json
-// writer.
+// Host-environment stamp, rep statistic and baseline reader shared by every
+// BENCH_*.json writer.
 //
 // Perf numbers are only comparable against numbers from the same class of
 // machine, so each result file records where it was produced: the CPU count
@@ -11,7 +11,10 @@
 #include <sys/utsname.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -38,6 +41,17 @@ inline void bench_env_fields(std::FILE* out) {
 inline double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   return v[v.size() / 2];
+}
+
+// Minimal flat-JSON number scraper for committed baseline files: finds
+// "key": <number> and returns the number, or nan.
+inline double json_number(const std::string& text, const std::string& key) {
+  const std::string needle = "\"" + key + "\"";
+  const std::size_t k = text.find(needle);
+  if (k == std::string::npos) return std::nan("");
+  const std::size_t colon = text.find(':', k);
+  if (colon == std::string::npos) return std::nan("");
+  return std::strtod(text.c_str() + colon + 1, nullptr);
 }
 
 }  // namespace simurgh

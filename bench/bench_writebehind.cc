@@ -147,16 +147,6 @@ const char* cls_name(core::Durability d) {
   return "?";
 }
 
-// Flat-JSON number scraper (same shape as bench_data_path's).
-double json_number(const std::string& text, const std::string& key) {
-  const std::string needle = "\"" + key + "\"";
-  const std::size_t k = text.find(needle);
-  if (k == std::string::npos) return std::nan("");
-  const std::size_t colon = text.find(':', k);
-  if (colon == std::string::npos) return std::nan("");
-  return std::strtod(text.c_str() + colon + 1, nullptr);
-}
-
 }  // namespace
 
 int main() {

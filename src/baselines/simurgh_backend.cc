@@ -27,7 +27,6 @@ SimurghBackend::SimurghBackend(sim::SimWorld& world,
                                   kCosts.nvmm_write_lat)),
       cache_read_(world.bandwidth("cpu.cache", kCosts.cache_read_bpc, 30)) {
   fs_ = core::FileSystem::format(dev_, shm_);
-  fs_->set_relaxed_writes(relaxed_);
   fs_->set_lookup_cache_enabled(opts.path_cache);
   proc_ = fs_->open_process(1000, 1000);
   root_proc_ = fs_->open_process(0, 0);

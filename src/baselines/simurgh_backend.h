@@ -24,6 +24,8 @@ namespace simurgh::bench {
 // Ablation knobs (bench_ablation_*): each defaults to the paper's design
 // point; the ablations show what each choice buys.
 struct SimurghModelOptions {
+  // Fig. 7k "relaxed": writes are charged without the per-file write lock.
+  // Virtual time only; the real file system underneath always takes it.
   bool relaxed_writes = false;
   // Directory lock granularity: kLines = per-hash-line busy flags (the
   // paper's design); 1 = one lock per directory (the VFS-style strawman).

@@ -3,8 +3,7 @@
 // Writes stream into NVMM with non-temporal stores and are ordered before
 // the metadata (size) update by a store fence; reads copy straight out of
 // the mapped region.  A per-file reader/writer lock in shared DRAM gives
-// writes exclusivity while reads run concurrently; relaxed mode (Fig. 7k)
-// drops the write lock and leaves coordination to the application.
+// writes exclusivity while reads run concurrently.
 //
 // Files with a relaxed durability class (write_behind.h) divert writes into
 // the DRAM staging tier before reaching the strict path, and reads overlay
@@ -191,19 +190,10 @@ Result<std::size_t> Process::do_write(Inode& ino, std::uint64_t ino_off,
                                       const void* buf, std::size_t n,
                                       std::uint64_t off, bool append,
                                       std::uint64_t* pos_out) {
-  std::optional<ExclusiveFileLock> lock;
-  if (!fs_.relaxed_writes())
-    lock.emplace(fs_.file_locks(), fs_.file_locks().slot_for(ino_off));
-  if (append) {
-    // O_APPEND: the position is resolved *after* taking the write lock, so
-    // concurrent appenders see each other's size update and never overlap.
-    // Relaxed mode (no lock, Fig. 7k) reserves a disjoint range by bumping
-    // the size atomically up front — appends interleave without clobbering;
-    // the size-before-data crash-atomicity this gives up is part of what
-    // relaxed mode already waives.
-    off = lock ? ino.size.load(std::memory_order_acquire)
-               : ino.size.fetch_add(n, std::memory_order_acq_rel);
-  }
+  ExclusiveFileLock lock(fs_.file_locks(), fs_.file_locks().slot_for(ino_off));
+  // O_APPEND: the position is resolved *after* taking the write lock, so
+  // concurrent appenders see each other's size update and never overlap.
+  if (append) off = ino.size.load(std::memory_order_acquire);
   if (pos_out != nullptr) *pos_out = off;
   if (n == 0) return std::size_t{0};
 
@@ -342,9 +332,7 @@ Status Process::truncate_inode(std::uint64_t ino_off, std::uint64_t size) {
   if (WriteBehind* wb = fs_.write_behind(); wb != nullptr && wb->active())
     (void)wb->flush_inode(ino_off);
   Inode* ino = fs_.inode_at(ino_off);
-  std::optional<ExclusiveFileLock> lock;
-  if (!fs_.relaxed_writes())
-    lock.emplace(fs_.file_locks(), fs_.file_locks().slot_for(ino_off));
+  ExclusiveFileLock lock(fs_.file_locks(), fs_.file_locks().slot_for(ino_off));
   const std::uint64_t old = ino->size.load(std::memory_order_acquire);
   // Commit point first: the persisted size store makes the truncate visible
   // atomically; a crash before it leaves the old file intact, a crash after
@@ -407,9 +395,7 @@ Status Process::fallocate(int fd, std::uint64_t off, std::uint64_t len) {
   if ((f->flags & kOpenWrite) == 0) return Status(Errc::bad_fd);
   const std::uint64_t ino_off = f->inode_off.load(std::memory_order_acquire);
   Inode* ino = fs_.inode_at(ino_off);
-  std::optional<ExclusiveFileLock> lock;
-  if (!fs_.relaxed_writes())
-    lock.emplace(fs_.file_locks(), fs_.file_locks().slot_for(ino_off));
+  ExclusiveFileLock lock(fs_.file_locks(), fs_.file_locks().slot_for(ino_off));
   const std::uint64_t first = off / kBS;
   const std::uint64_t last = (off + len + kBS - 1) / kBS;
   // The evaluation configures file systems to *not* zero preallocated

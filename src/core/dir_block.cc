@@ -570,6 +570,11 @@ Result<std::uint64_t> DirOps::rename_cross(Inode& src_dir,
   const std::uint16_t tag_new = tag_of_name(new_name);
   DirBlock* src_first = first_block(src_dir);
   if (src_first == nullptr) return Errc::not_found;
+  // The caller holds the log's lock (Process::rename).  An armed log means
+  // its last writer died mid-rename and we took the lock over: settle that
+  // rename before this one overwrites its record.
+  if (src_first->log.state.load(std::memory_order_acquire) != 0)
+    replay_cross_log(src_dir);
 
   // Lock rows in a global order keyed by (block address, line) so two
   // opposing cross-renames cannot deadlock (§4.3 step 3).
@@ -1028,21 +1033,32 @@ void DirOps::replay_cross_log(Inode& src_dir) {
   // Decide redo vs. undo by whether the destination directory published a
   // slot pointing at the new entry — the operation's commit point.
   const std::uint64_t new_fe = log.new_fentry;
-  const bool dst_published = dir_contains_fentry(log.dst_dir_inode, new_fe);
-  if (dst_published) {
-    // Redo: finish the source-side cleanup.
+  if (dir_contains_fentry(log.dst_dir_inode, new_fe)) {
+    // Redo: commit the new entry and retire the old one.  Live mutators may
+    // be at work in the source directory, so the old slot is retired under
+    // its line lock, and only while it still binds the logged entry to the
+    // moved inode (the entry may have been freed and recycled since).  An
+    // old entry already scrubbed is an interrupted delete that the next
+    // holder of its line (or recovery's line repair and sweep) finishes.
     if (pools_.fentry->flags_of(new_fe) ==
         (alloc::kObjValid | alloc::kObjDirty))
       pools_.fentry->commit(new_fe);
-    FileEntry* old_fe = entry_at(log.old_fentry);
-    if (pools_.fentry->flags_of(log.old_fentry) != 0) {
-      pools_.fentry->set_flags(log.old_fentry, alloc::kObjDirty);
-      scrub_entry(old_fe);
-      pools_.fentry->finish_pending_free(log.old_fentry);
+    const std::uint64_t moved = entry_at(new_fe)->inode.load().raw();
+    char buf[kMaxName + 1];
+    const std::uint16_t n = entry_at(log.old_fentry)->load_name(buf);
+    if (n != 0) {
+      const std::string_view name{buf, n};
+      const unsigned ln = line_of(name);
+      MutCtx ctx = lock_name(src_dir, name, ln);
+      const SlotRef ref = find_slot(src_dir, ln, name, tag_of_name(name));
+      if (ctx.rt.anchor != nullptr && ref.slot != nullptr &&
+          DirSlot::off_of(ref.v) == log.old_fentry && ref.inode == moved) {
+        EpochGuard epoch(*this, src_dir, ctx.rt.head);
+        (void)remove_locked(src_dir, ln, name);
+      }
     }
-    // Scrub the stale source slot wherever it is.
-    for (unsigned ln = 0; ln < kLines; ++ln) repair_line_all(src_dir, ln);
-  } else if (pools_.fentry->flags_of(new_fe) != 0) {
+  } else if (pools_.fentry->flags_of(new_fe) ==
+             (alloc::kObjValid | alloc::kObjDirty)) {
     // Undo: the new entry never became visible; drop it.
     pools_.fentry->set_flags(new_fe, alloc::kObjDirty);
     scrub_entry(entry_at(new_fe));
@@ -1167,8 +1183,22 @@ void DirOps::recover_directory(Inode& dir) {
   if (!dir.dir.load()) return;
   EpochGuard epoch(*this, dir);
   DirBlock* anchor = first_block(dir);
-  replay_cross_log(dir);
   const std::uint64_t d = anchor->depth.load(std::memory_order_acquire);
+  // Every holder is gone: release the line locks first, so the log replay
+  // below takes its line lock without waiting out a dead holder's lease.
+  anchor->busy.store(0, std::memory_order_release);
+  anchor->rename_busy.store(0, std::memory_order_release);
+  nvmm::persist_now(anchor->busy);
+  if (d != 0) {
+    const unsigned nb = 1u << (d > kMaxBucketBits ? kMaxBucketBits : d);
+    for (unsigned i = 0; i < nb; ++i) {
+      DirBlock* h = anchor->bucket_heads[i].load().in(dev_);
+      if (h == nullptr) continue;
+      h->busy.store(0, std::memory_order_release);
+      nvmm::persist_now(h->busy);
+    }
+  }
+  replay_cross_log(dir);
   if (d == 0) {
     // Roll back any split that never published its depth: the heads were
     // never reachable, so they hold no entries.  This also sweeps head
@@ -1208,18 +1238,6 @@ void DirOps::recover_directory(Inode& dir) {
     if (drained) {
       anchor->split_state.store(0, std::memory_order_release);
       nvmm::persist_now(anchor->split_state);
-    }
-  }
-  anchor->busy.store(0, std::memory_order_release);
-  anchor->rename_busy.store(0, std::memory_order_release);
-  nvmm::persist_now(anchor->busy);
-  if (d != 0) {
-    const unsigned nb = 1u << (d > kMaxBucketBits ? kMaxBucketBits : d);
-    for (unsigned i = 0; i < nb; ++i) {
-      DirBlock* h = anchor->bucket_heads[i].load().in(dev_);
-      if (h == nullptr) continue;
-      h->busy.store(0, std::memory_order_release);
-      nvmm::persist_now(h->busy);
     }
   }
 }

@@ -129,6 +129,9 @@ struct DirLine {
 static_assert(sizeof(DirLine) == 64);
 
 // Cross-directory rename log — one per directory, in the first block.
+// Renames out of the directory take turns on it under the directory
+// inode's exclusive file lock (Process::rename); one that finds it still
+// armed replays it first (DirOps::replay_cross_log).
 struct RenameLog {
   std::atomic<std::uint32_t> state{0};  // 0 idle, 1 pending (dirty)
   std::uint32_t _pad = 0;
@@ -240,6 +243,8 @@ class DirOps {
                                      std::string_view new_name);
 
   // Cross-directory rename via the source directory's log entry (§4.3).
+  // The caller serializes renames out of `src_dir` (Process::rename holds
+  // the directory inode's exclusive file lock).
   Result<std::uint64_t> rename_cross(Inode& src_dir, std::string_view old_name,
                                      Inode& dst_dir,
                                      std::string_view new_name);
@@ -481,6 +486,9 @@ class DirOps {
   // Splits `dir` when the anchor chain outgrew the threshold.
   void maybe_split(Inode& dir);
 
+  // Settles an armed RenameLog: redo when the destination published the
+  // new entry, undo otherwise.  Runs from recovery and on a live mount (a
+  // renamer that took over a dead renamer's log lock).
   void replay_cross_log(Inode& src_dir);
   // True when fe_off appears in any slot of the directory whose anchor
   // chain starts at first_blk_off (cross-rename redo/undo decision).

@@ -48,22 +48,6 @@ void ExtentCache::clear() noexcept {
     slots_[i].store(nullptr, std::memory_order_release);
 }
 
-void ExtentCache::invalidate_shards(std::uint64_t shard_mask) noexcept {
-  if (shard_mask == 0) return;
-  if ((shard_mask & kAllCacheShards) == kAllCacheShards) {
-    clear();
-    return;
-  }
-  for (std::size_t i = 0; i < n_slots_; ++i) {
-    ViewPtr v = slots_[i].load(std::memory_order_acquire);
-    if (!v) continue;
-    if (((1ull << cache_shard_of(v->ino_off)) & shard_mask) == 0) continue;
-    // A racing put of a fresh view may be overwritten too — harmless: the
-    // next get re-scans, exactly like a conflict miss.
-    slots_[i].store(nullptr, std::memory_order_release);
-  }
-}
-
 ExtentCacheStats ExtentCache::stats() const noexcept {
   ExtentCacheStats s;
   s.hits = hits_.load(std::memory_order_relaxed);

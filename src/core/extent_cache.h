@@ -65,11 +65,6 @@ class ExtentCache {
   void invalidate(std::uint64_t ino_off) noexcept;
   void clear() noexcept;
 
-  // Selective cross-mount invalidation: drops only views whose inode
-  // offset falls in a shard named by `shard_mask` (layout.h
-  // cache_shard_of).  Views elsewhere survive a peer's reclaim.
-  void invalidate_shards(std::uint64_t shard_mask) noexcept;
-
   [[nodiscard]] ExtentCacheStats stats() const noexcept;
   void reset_stats() noexcept;
   [[nodiscard]] std::size_t slot_count() const noexcept { return n_slots_; }

@@ -255,10 +255,6 @@ std::unique_ptr<FileSystem> FileSystem::mount(nvmm::Device& nvmm,
   // does not need the tier).
   fs->make_write_behind();
   fs->scrub_ = std::make_unique<Scrubber>(*fs);
-  for (unsigned i = 0; i < kCacheGenShards; ++i)
-    fs->shard_gen_seen_[i].store(
-        sb.cache_shards[i].gen.load(std::memory_order_acquire),
-        std::memory_order_relaxed);
   fs->cache_gen_seen_.store(sb.cache_gen.load(std::memory_order_acquire),
                             std::memory_order_relaxed);
   fs->coord_ready_.store(true, std::memory_order_release);
@@ -307,41 +303,23 @@ void FileSystem::unmount() {
   unmounted_ = true;
 }
 
-void FileSystem::poll_coordination_slow(std::uint64_t gen) {
-  // A peer published an invalidation (recovery or lease reclaim).  Diff
-  // the per-shard generations against what this mount last consumed and
-  // drop only the DRAM views those shards could hold.  Serialised on a
-  // mount-private mutex: concurrent op threads that raced onto the slow
-  // path wait here, then see cache_gen_seen_ already caught up.
-  (void)gen;  // re-read under the mutex; the caller's load may be stale
+void FileSystem::poll_coordination_slow() {
+  // A peer published an invalidation (recovery or lease reclaim).
+  // Serialised on a mount-private mutex: concurrent op threads that raced
+  // onto the slow path wait here, then see cache_gen_seen_ already caught
+  // up.
   common::MutexLock lk(coord_mu_);
-  Superblock& s = sb();
-  const std::uint64_t cur = s.cache_gen.load(std::memory_order_acquire);
+  const std::uint64_t cur = sb().cache_gen.load(std::memory_order_acquire);
   if (cur == cache_gen_seen_.load(std::memory_order_relaxed)) return;
-  std::uint64_t mask = 0;
-  for (unsigned i = 0; i < kCacheGenShards; ++i) {
-    const std::uint64_t g =
-        s.cache_shards[i].gen.load(std::memory_order_acquire);
-    if (g != shard_gen_seen_[i].load(std::memory_order_relaxed)) {
-      mask |= 1ull << i;
-      shard_gen_seen_[i].store(g, std::memory_order_relaxed);
-    }
-  }
-  if (mask != 0) {
-    lookup_cache_->invalidate_shards(mask);
-    extent_cache_->invalidate_shards(mask);
-    // Whole-path entries chain through many directories, so any affected
-    // shard can poison a chain: the small table is dropped wholesale.
-    path_cache_->clear();
-    shard_invalidations_.fetch_add(
-        static_cast<std::uint64_t>(__builtin_popcountll(mask)),
-        std::memory_order_relaxed);
-  }
-  // An empty mask is a benign wake: a racing slow path on this mount
-  // already consumed the shard bumps, or a writer's shard bump was picked
-  // up early (shards move before the summary) — either way the caches are
-  // already consistent with everything `cur` announces.
+  drop_dram_caches();
+  shard_invalidations_.fetch_add(1, std::memory_order_relaxed);
   cache_gen_seen_.store(cur, std::memory_order_relaxed);
+}
+
+void FileSystem::drop_dram_caches() noexcept {
+  lookup_cache_->clear();
+  path_cache_->clear();
+  extent_cache_->clear();
 }
 
 ReapReport FileSystem::reap_dead_mounts() {
@@ -377,9 +355,8 @@ ReapReport FileSystem::reap_dead_mounts() {
     lock_sweep_due_ns_.compare_exchange_strong(due, 0,
                                                std::memory_order_relaxed);
   }
-  std::uint64_t mask = 0;
   unsigned pending = 0;
-  r.file_locks = locks_->sweep_expired(&mask, &pending);
+  r.file_locks = locks_->sweep_expired(&pending);
   r.segment_locks = blocks_->reap_expired_segment_locks(&pending);
   if (pending > 0) {
     // Stale-stamped locks the sweeps have not watched for a whole lease
@@ -392,23 +369,16 @@ ReapReport FileSystem::reap_dead_mounts() {
   reap_file_locks_.fetch_add(r.file_locks, std::memory_order_relaxed);
   reap_segment_locks_.fetch_add(r.segment_locks, std::memory_order_relaxed);
   // The dead peer may have died mid-mutation of the inodes whose locks we
-  // just swept; name their shards so every mount (ours included) drops
-  // exactly the DRAM views that could hold them.  Objects it touched
-  // WITHOUT a visible lock need no bump: directory walks are epoch-
-  // validated (a death mid-EpochGuard leaves the epoch odd, so cached
-  // entries stop validating), and its reservation blocks were never
-  // reachable.  Shards first, summary second — a reader woken by the
-  // summary then provably sees every shard bump it announces.
-  if (mask != 0) {
+  // just swept: tell every mount (ours included) to drop its DRAM caches.
+  // Objects it touched WITHOUT a visible lock need no bump: directory walks
+  // are epoch-validated (a death mid-EpochGuard leaves the epoch odd, so
+  // cached entries stop validating), and its reservation blocks were never
+  // reachable.
+  if (r.file_locks > 0) {
     Superblock& s = sb();
-    for (unsigned i = 0; i < kCacheGenShards; ++i) {
-      if ((mask & (1ull << i)) == 0) continue;
-      s.cache_shards[i].gen.fetch_add(1, std::memory_order_acq_rel);
-      nvmm::persist_now(s.cache_shards[i].gen);
-    }
     s.cache_gen.fetch_add(1, std::memory_order_acq_rel);
     nvmm::persist_now(s.cache_gen);
-    poll_coordination_slow(0);  // catch our own caches up, selectively
+    poll_coordination_slow();  // catch our own caches up
   }
   return r;
 }
@@ -934,11 +904,17 @@ Status Process::rename(std::string_view from, std::string_view to) {
       return Status(Errc::not_empty);
     if (dst.inode_off == src.inode_off) return Status::ok();  // same file
   }
-  Result<std::uint64_t> replaced =
-      src.parent_off == dst.parent_off
-          ? fs_.dirops().rename_local(*src_parent, src.leaf(), dst.leaf())
-          : fs_.dirops().rename_cross(*src_parent, src.leaf(), *dst_parent,
-                                      dst.leaf());
+  Result<std::uint64_t> replaced = [&]() -> Result<std::uint64_t> {
+    if (src.parent_off == dst.parent_off)
+      return fs_.dirops().rename_local(*src_parent, src.leaf(), dst.leaf());
+    // Every cross-directory rename out of a directory writes its single
+    // RenameLog, so they take turns on the directory's exclusive file lock
+    // (a lease lock, common/lease.h), before any line lock.
+    FileLockTable& locks = fs_.file_locks();
+    ExclusiveFileLock log_lock(locks, locks.slot_for(src.parent_off));
+    return fs_.dirops().rename_cross(*src_parent, src.leaf(), *dst_parent,
+                                     dst.leaf());
+  }();
   SIMURGH_RETURN_IF_ERROR(replaced);
   if (*replaced != 0) return drop_inode(*replaced);
   const std::uint64_t now = wall_ns();

@@ -101,7 +101,10 @@ struct FsStat {
   std::uint64_t obj_cas_retries = 0;      // lost object-claim CAS races
   std::uint64_t obj_stripe_steals = 0;    // free-obj pops off foreign stripes
   std::uint64_t reserve_slot_probes = 0;  // reservation-slot scan length
-  std::uint64_t shard_invalidations = 0;  // cache shards this mount dropped
+  // Wholesale DRAM-cache drops this mount made because a peer's recovery
+  // or reclaim moved Superblock::cache_gen (the name predates the single
+  // generation; perfbench and bench_multimount read it).
+  std::uint64_t shard_invalidations = 0;
   // Giant-directory telemetry (this mount's view; see DirOps::Stats).
   // The epoch-bump split tells how selective invalidation is: scoped bumps
   // touch only the mutated bucket's epoch, full bumps invalidate every
@@ -192,26 +195,24 @@ class FileSystem {
   RecoveryReport recover();
 
   // ---- multi-mount coordination (§4 "fully decentralized") ----
-  // Called at the top of every Process operation: invalidates the DRAM
-  // caches (selectively, by shard) when the superblock's summary cache_gen
-  // moved — a peer ran recovery or a lease reclaim.  That is ALL the data
-  // path does now: heartbeats and dead-peer reaping are wall-clock-paced
-  // on the background heartbeat thread (started at attach), so an idle or
-  // slow mount never reads as dead to its peers and a busy one pays
-  // exactly one acquire load of a read-mostly cache line per operation.
+  // Called at the top of every Process operation: drops the DRAM caches
+  // when the superblock's cache_gen moved — a peer ran recovery or a lease
+  // reclaim.  That is ALL the data path does now: heartbeats and dead-peer
+  // reaping are wall-clock-paced on the background heartbeat thread
+  // (started at attach), so an idle or slow mount never reads as dead to
+  // its peers and a busy one pays exactly one acquire load of a
+  // read-mostly cache line per operation.
   void poll_coordination() {
     if (registry_ == nullptr || unmounted_) return;
     const std::uint64_t gen = sb().cache_gen.load(std::memory_order_acquire);
     if (gen != cache_gen_seen_.load(std::memory_order_relaxed))
-      poll_coordination_slow(gen);
+      poll_coordination_slow();
   }
   // Reclaims every peer whose heartbeat lease expired: its stranded block
   // reservations, expired file locks and segment leases return to service
-  // without a remount.  A victim that held file locks bumps the per-shard
-  // cache generations of the swept inodes (then the summary cache_gen), so
-  // every mount — this one included — drops exactly the DRAM views that
-  // could hold the affected objects; a victim that held nothing visible
-  // bumps nothing.
+  // without a remount.  A sweep that released a victim's file lock bumps
+  // cache_gen once, so every mount — this one included — drops its DRAM
+  // caches; a victim that held nothing visible bumps nothing.
   ReapReport reap_dead_mounts();
   // Cumulative totals of every reap this mount performed — explicit calls
   // AND the background heartbeat thread's periodic scans.  Tests assert on
@@ -245,13 +246,6 @@ class FileSystem {
   // Capacity summary (statfs).  live_inodes scans the inode pool.
   [[nodiscard]] FsStat fsstat();
 
-  // Fig. 7k "relaxed": disable the per-file exclusive write lock and let
-  // the application coordinate shared-file writes itself.
-  void set_relaxed_writes(bool relaxed) noexcept { relaxed_writes_ = relaxed; }
-  [[nodiscard]] bool relaxed_writes() const noexcept {
-    return relaxed_writes_;
-  }
-
   // Shrinks every busy-wait lease (crash tests).
   void set_lease_ns(std::uint64_t ns);
 
@@ -276,9 +270,7 @@ class FileSystem {
   // ---- integrity layer (core/integrity.h, core/scrub.h) ----
   [[nodiscard]] CrcTable& crc() noexcept { return crc_; }
   // verify_reads mode: do_read recomputes each touched block's CRC32C and
-  // fails with Errc::io on a mismatch.  Off by default.  Incompatible with
-  // relaxed writes (unlocked writers legitimately leave entry and bytes out
-  // of step mid-write).
+  // fails with Errc::io on a mismatch.  Off by default.
   void set_verify_reads(bool on) noexcept { verify_reads_ = on; }
   [[nodiscard]] bool verify_reads() const noexcept { return verify_reads_; }
   void note_crc_failure() noexcept {
@@ -370,7 +362,10 @@ class FileSystem {
   FileSystem(nvmm::Device& nvmm, nvmm::Device& shm);
   void attach_components(bool formatted, const FormatOptions& opts);
   void register_protected_functions();
-  void poll_coordination_slow(std::uint64_t gen);
+  void poll_coordination_slow();
+  // Clears the lookup, path and extent caches: what a cache_gen move
+  // announces, and what recover() needs before its sweep recycles objects.
+  void drop_dram_caches() noexcept;
   // Wall-clock heartbeat pacing (~lease/4): op-driven polling alone stops
   // when the mount goes idle, which must not read as death — peers would
   // reap the live mount and a fresh attacher would become first-in and run
@@ -385,7 +380,6 @@ class FileSystem {
   nvmm::Device* dev_;
   nvmm::Device* shm_;
   std::uint64_t root_off_ = 0;
-  bool relaxed_writes_ = false;
   bool unmounted_ = false;
   RecoveryReport last_recovery_{};
 
@@ -397,16 +391,13 @@ class FileSystem {
   bool hb_stop_ GUARDED_BY(hb_mutex_) = false;
   // Bumped to re-pace the heartbeat thread.
   std::uint64_t hb_wake_gen_ GUARDED_BY(hb_mutex_) = 0;
-  // Last superblock cache_gen this mount synchronised its DRAM caches to,
-  // plus the per-shard generations consumed at that point.  The slow path
-  // (summary moved) serialises on coord_mu_, diffs the shard generations
-  // against shard_gen_seen_ and invalidates only the shards that moved.
-  // (The seen-generation fields stay atomic, not GUARDED_BY(coord_mu_):
-  // the lock serialises slow-path *invalidation* work, while the fast path
-  // reads cache_gen_seen_ lock-free on every operation.)
+  // Last superblock cache_gen this mount synchronised its DRAM caches to.
+  // The slow path (generation moved) serialises on coord_mu_ so racing op
+  // threads drop once and none proceeds before the drop.  (Atomic, not
+  // GUARDED_BY(coord_mu_): the fast path reads it lock-free on every
+  // operation.)
   std::atomic<std::uint64_t> cache_gen_seen_{0};
   common::Mutex coord_mu_;
-  std::atomic<std::uint64_t> shard_gen_seen_[kCacheGenShards] = {};
   std::atomic<std::uint64_t> shard_invalidations_{0};
   std::atomic<std::uint64_t> mount_reclaims_{0};
   std::atomic<std::uint64_t> reap_blocks_{0};
@@ -555,9 +546,8 @@ class Process {
   Status drop_inode(std::uint64_t inode_off);
   Result<std::size_t> do_read(Inode& ino, std::uint64_t ino_off, void* buf,
                               std::size_t n, std::uint64_t off);
-  // `append` resolves the write position under the file lock (or, in
-  // relaxed mode, by an atomic size reservation) and reports it through
-  // `pos_out` so the caller can advance its fd cursor.
+  // `append` resolves the write position under the file lock and reports
+  // it through `pos_out` so the caller can advance its fd cursor.
   Result<std::size_t> do_write(Inode& ino, std::uint64_t ino_off,
                                const void* buf, std::size_t n,
                                std::uint64_t off, bool append = false,

@@ -23,8 +23,7 @@
 //              scrubber (core/scrub.h), and fsck's CRC pass (check.cc).
 //
 // Writers hold the file's exclusive lock while stamping, so an entry never
-// races its own block's bytes.  relaxed-writes mode waives that lock and
-// with it checksum coherence — documented as incompatible with verify_reads.
+// races its own block's bytes.
 #pragma once
 
 #include <atomic>

@@ -48,15 +48,11 @@ RecoveryReport FileSystem::recover() {
   // hand out objects the sweep will reason about.
   locks_->reset_all();
   for (auto& p : pools_) p->drop_volatile_cache();
-  // The sweep below may reclaim directory first blocks without going
-  // through retire_dir_epoch; drop the DRAM lookup state wholesale instead
-  // so no pre-recovery binding can validate against whatever epoch streams
-  // the recycled blocks start afterwards.
-  lookup_cache_->clear();
-  path_cache_->clear();
-  // Same reasoning for file extent maps: the sweep may reclaim/recycle
-  // inodes without going through drop_inode's epoch retirement.
-  extent_cache_->clear();
+  // The sweep below may reclaim directory first blocks and inodes without
+  // going through retire_dir_epoch / drop_inode's epoch retirement; drop
+  // the DRAM lookup, path and extent state wholesale so no pre-recovery
+  // view can validate against whatever epochs the recycled objects start.
+  drop_dram_caches();
   // Per-thread block reservations (shm slots) reference carved-out blocks
   // that no inode uses; forget them so the rebuild below returns those
   // blocks to the free lists exactly once (rebuild_free_lists also does
@@ -235,18 +231,10 @@ RecoveryReport FileSystem::recover() {
 
   // Peer mounts must drop their DRAM caches too: the sweep above recycles
   // objects without the per-directory / per-file epoch retirement those
-  // caches validate against.  Full recovery touches every pool, so every
-  // shard generation is bumped (then the summary — readers woken by the
-  // summary must see all of them; see layout.h), and this mount's own seen
-  // state is synchronised so it does not re-invalidate its fresh caches.
+  // caches validate against.  This mount's own seen generation follows, so
+  // it does not drop its caches a second time.
   {
     Superblock& sbm = sb();
-    for (unsigned i = 0; i < kCacheGenShards; ++i) {
-      const std::uint64_t g =
-          sbm.cache_shards[i].gen.fetch_add(1, std::memory_order_acq_rel) + 1;
-      nvmm::persist_now(sbm.cache_shards[i].gen);
-      shard_gen_seen_[i].store(g, std::memory_order_relaxed);
-    }
     const std::uint64_t gen =
         sbm.cache_gen.fetch_add(1, std::memory_order_acq_rel) + 1;
     nvmm::persist_now(sbm.cache_gen);

@@ -53,12 +53,9 @@ class FileLockTable {
   // Survivor-side reclaim: releases every held lock that stayed unchanged
   // for a whole lease across sweeps (common/lease.h; its holder died
   // mid-section, and the two-bit object protocol keeps whatever it was
-  // doing recoverable).  Returns locks released.  When `shard_mask` is
-  // non-null, ORs in the cache shard bit (layout.h cache_shard_of) of every
-  // released lock's inode offset, so the caller can invalidate peer caches
-  // selectively.  Adds to `pending` the stale-stamped locks still watched.
-  unsigned sweep_expired(std::uint64_t* shard_mask = nullptr,
-                         unsigned* pending = nullptr);
+  // doing recoverable).  Returns locks released.  Adds to `pending` the
+  // stale-stamped locks still watched.
+  unsigned sweep_expired(unsigned* pending = nullptr);
 
   FileLockStats& stats() noexcept { return *stats_; }
 

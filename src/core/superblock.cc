@@ -138,8 +138,7 @@ void FileLockTable::reset_all() {
   }
 }
 
-unsigned FileLockTable::sweep_expired(std::uint64_t* shard_mask,
-                                      unsigned* pending) {
+unsigned FileLockTable::sweep_expired(unsigned* pending) {
   FileLock* ls = locks();
   return sweep_->pass(
       header().n_locks, lease_ns_,
@@ -154,11 +153,6 @@ unsigned FileLockTable::sweep_expired(std::uint64_t* shard_mask,
                                                 std::memory_order_acq_rel))
           return false;
         stats_->lease_steals.fetch_add(1, std::memory_order_relaxed);
-        if (shard_mask != nullptr) {
-          const std::uint64_t ino =
-              ls[i].inode_off.load(std::memory_order_relaxed);
-          *shard_mask |= 1ull << cache_shard_of(ino);
-        }
         return true;
       },
       pending);

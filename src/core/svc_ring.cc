@@ -31,11 +31,6 @@ std::uint64_t MetaService::owner_lease_ns() const noexcept {
   return 2 * fs_.mount_registry().lease_ns();
 }
 
-bool MetaService::lease_expired(std::uint64_t stamp_ns,
-                                std::uint64_t now) const noexcept {
-  return now > stamp_ns && now - stamp_ns > owner_lease_ns();
-}
-
 std::uint64_t MetaService::expected_cap(std::uint64_t token) const noexcept {
   // Mirrors protected entry 3 (fs.cc register_protected_functions): the
   // server recomputes what the gateway minted for `token` and refuses a
@@ -99,11 +94,8 @@ void MetaService::begin_shutdown(bool resign) {
   if (server_.joinable()) server_.join();
   // New refill carves fall back to the allocator's direct path from here.
   fs_.blocks().set_carve_proxy(nullptr);
-  if (hdr_ != nullptr && resign) {
-    std::uint64_t tok = token_;
-    hdr_->owner_token.compare_exchange_strong(tok, 0,
-                                              std::memory_order_acq_rel);
-  }
+  if (hdr_ != nullptr && resign)
+    common::lease_unlock(hdr_->owner_token, token_);
 }
 
 bool MetaService::is_owner() const noexcept {
@@ -111,19 +103,25 @@ bool MetaService::is_owner() const noexcept {
          hdr_->owner_token.load(std::memory_order_acquire) == token_;
 }
 
-bool MetaService::try_elect() {
-  const std::uint64_t now = lease_now_ns();
+bool MetaService::try_elect(common::LeaseWait* watch) {
   std::uint64_t cur = hdr_->owner_token.load(std::memory_order_acquire);
   if (cur == token_) return true;
-  if (cur != 0 &&
-      !lease_expired(hdr_->owner_stamp_ns.load(std::memory_order_acquire),
-                     now))
-    return false;
-  if (!hdr_->owner_token.compare_exchange_strong(cur, token_,
-                                                 std::memory_order_acq_rel))
-    return false;
-  hdr_->owner_stamp_ns.store(now, std::memory_order_release);
-  if (cur != 0) {
+  if (cur == 0) {
+    if (!common::lease_try_lock(hdr_->owner_token, hdr_->owner_stamp_ns,
+                                token_))
+      return false;
+  } else {
+    // The seat's owner stamps just after its electing CAS, so its stamp
+    // alone proves nothing: only an owner watched silent for a whole lease
+    // is presumed dead (common/lease.h).
+    if (watch == nullptr ||
+        !watch->expired(cur,
+                        hdr_->owner_stamp_ns.load(std::memory_order_acquire),
+                        owner_lease_ns()) ||
+        !hdr_->owner_token.compare_exchange_strong(cur, token_,
+                                                   std::memory_order_acq_rel))
+      return false;
+    hdr_->owner_stamp_ns.store(lease_now_ns(), std::memory_order_release);
     // Took a dead owner's seat: first complete-or-unwind whatever its
     // in-flight requests left behind by re-posting them.
     hdr_->failovers.fetch_add(1, std::memory_order_relaxed);
@@ -307,8 +305,11 @@ void MetaService::publish(SvcSlot& s, Status st, std::uint64_t r0) {
   s.err = static_cast<std::int32_t>(st.code());
   s.r0 = r0;
   s.seq.store(sq + 2, std::memory_order_release);  // even: response stable
-  if (lease_expired(s.client_stamp_ns.load(std::memory_order_acquire),
-                    lease_now_ns())) {
+  // The client stamped before it posted, so this stamp is its own and may
+  // be judged alone (read before the clock: a later stamp proves life).
+  const std::uint64_t stamp =
+      s.client_stamp_ns.load(std::memory_order_acquire);
+  if (common::lease_expired(stamp, 0, lease_now_ns(), owner_lease_ns())) {
     // The waiter died: nobody will consume the response; reap the slot.
     s.phase.store(kSvcFree, std::memory_order_release);
   } else {
@@ -319,17 +320,24 @@ void MetaService::publish(SvcSlot& s, Status st, std::uint64_t r0) {
 SvcSlot* MetaService::claim_slot() {
   const std::uint64_t start =
       hdr_->ticket.fetch_add(1, std::memory_order_relaxed);
+  // One watch per slot (n_slots_ <= kSvcDefaultSlots): a claimant stamps
+  // just after its claiming CAS, so a parked slot is presumed abandoned
+  // only after a whole lease in which its claimant and stamp never changed.
+  common::LeaseWait watch[kSvcDefaultSlots];
   for (;;) {
     if (shutting_down_.load(std::memory_order_acquire)) return nullptr;
     for (unsigned j = 0; j < n_slots_; ++j) {
-      SvcSlot& s = slots_[(start + j) % n_slots_];
+      const unsigned i = static_cast<unsigned>((start + j) % n_slots_);
+      SvcSlot& s = slots_[i];
       std::uint32_t ph = s.phase.load(std::memory_order_acquire);
       if (ph != kSvcFree) {
         // Reap a dead claimant's parked slot — but never one the server is
         // executing (the failover takeover path owns those).
         if (ph == kSvcExecuting) continue;
-        if (!lease_expired(s.client_stamp_ns.load(std::memory_order_acquire),
-                           lease_now_ns()))
+        if (!watch[i].expired(
+                s.client_token.load(std::memory_order_acquire),
+                s.client_stamp_ns.load(std::memory_order_acquire),
+                owner_lease_ns()))
           continue;
         if (!s.phase.compare_exchange_strong(ph, kSvcFree,
                                              std::memory_order_acq_rel))
@@ -374,6 +382,7 @@ Status MetaService::request(SvcOp op, const protsec::Credentials& cred,
   s->phase.store(kSvcPosted, std::memory_order_release);
 
   unsigned spins = 0;
+  common::LeaseWait owner_watch;
   for (;;) {
     const std::uint32_t ph = s->phase.load(std::memory_order_acquire);
     if (ph == kSvcDone) break;
@@ -384,15 +393,11 @@ Status MetaService::request(SvcOp op, const protsec::Credentials& cred,
       // busy and let the caller retry against current state.
       return Status(Errc::busy);
     }
-    const std::uint64_t now = lease_now_ns();
-    s->client_stamp_ns.store(now, std::memory_order_release);
-    if (hdr_->owner_token.load(std::memory_order_acquire) == 0 ||
-        lease_expired(hdr_->owner_stamp_ns.load(std::memory_order_acquire),
-                      now)) {
-      // Owner death detection: elect ourselves (the takeover re-posts this
-      // very slot and the new server thread serves it).
-      try_elect();
-    }
+    s->client_stamp_ns.store(lease_now_ns(), std::memory_order_release);
+    // Owner death detection: elect ourselves once the seat is empty or its
+    // owner stayed silent for a whole lease while we waited (the takeover
+    // re-posts this very slot and the new server thread serves it).
+    try_elect(&owner_watch);
     if (++spins > 64) std::this_thread::yield();
   }
 

@@ -22,11 +22,13 @@
 //           odd -> fields -> even before kDone, the client rejects a torn
 //           read (belt over the phase ordering's braces);
 //   leases  client_stamp_ns is refreshed by the waiting client and
-//           owner_stamp_ns by the serving owner, both against the mount
-//           registry's lease — a dead client's slot is reaped by the next
-//           claimant or the server, a dead owner is replaced by election
-//           (below), exactly the lease discipline the registry machinery
-//           applies to mount slots.
+//           owner_stamp_ns by the serving owner, both against twice the
+//           mount registry's lease — a dead client's slot is reaped by the
+//           next claimant or the server, a dead owner is replaced by
+//           election (below).  Both stamps land just after the CAS that
+//           claims the slot or seat, so a peer judges them by the lease
+//           rule of common/lease.h: only a holder it watched stay silent
+//           for a whole lease is presumed dead.
 //
 // Waiting is spin-then-yield (the futex-or-spin tradeoff lands on spin: the
 // emulated shm device is plain anonymous memory, per-process, so there is
@@ -60,6 +62,7 @@
 #include <thread>
 
 #include "alloc/block_alloc.h"
+#include "common/lease.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "core/layout.h"
@@ -210,11 +213,11 @@ class MetaService : public alloc::CarveProxy {
   friend class FileSystem;
 
   [[nodiscard]] std::uint64_t owner_lease_ns() const noexcept;
-  [[nodiscard]] bool lease_expired(std::uint64_t stamp_ns,
-                                   std::uint64_t now_ns) const noexcept;
   [[nodiscard]] std::uint64_t expected_cap(std::uint64_t token) const noexcept;
 
-  bool try_elect();
+  // Takes the owner seat when it is empty or, given a waiter's `watch`,
+  // when its owner stayed silent for a whole lease of watching.
+  bool try_elect(common::LeaseWait* watch = nullptr);
   void start_server();
   void takeover_scan();  // re-post the dead owner's kExecuting slots
   void server_main();

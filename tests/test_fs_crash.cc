@@ -166,6 +166,29 @@ TEST_P(FsCrashXRenameTest, LogReplayYieldsExactlyOneName) {
   EXPECT_EQ(st->size, 5u);
 }
 
+TEST_P(FsCrashXRenameTest, LiveRenamerReplaysTheArmedLog) {
+  // No remount: the next cross-directory rename out of /from steals the
+  // dead renamer's log lock, finds the log still armed and replays it
+  // before writing its own record — exactly one name survives.
+  ASSERT_TRUE(p().mkdir("/from").is_ok());
+  ASSERT_TRUE(p().mkdir("/to").is_ok());
+  ASSERT_TRUE(p().open("/from/item", kOpenCreate | kOpenWrite).is_ok());
+  ASSERT_TRUE(p().open("/from/next", kOpenCreate | kOpenWrite).is_ok());
+  const auto ino = p().stat("/from/item")->inode;
+  crash_during(GetParam(),
+               [&] { (void)p().rename("/from/item", "/to/item"); });
+  auto survivor = fs_->open_process(1000, 1000);
+  ASSERT_TRUE(survivor->rename("/from/next", "/to/next").is_ok());
+  EXPECT_FALSE(survivor->stat("/from/next").is_ok());
+  EXPECT_TRUE(survivor->stat("/to/next").is_ok());
+  const bool at_src = survivor->stat("/from/item").is_ok();
+  const bool at_dst = survivor->stat("/to/item").is_ok();
+  EXPECT_NE(at_src, at_dst) << "src=" << at_src << " dst=" << at_dst;
+  const auto st = survivor->stat(at_src ? "/from/item" : "/to/item");
+  ASSERT_TRUE(st.is_ok());
+  EXPECT_EQ(st->inode, ino);
+}
+
 INSTANTIATE_TEST_SUITE_P(XRenameSteps, FsCrashXRenameTest,
                          ::testing::Values("dir.xrename.log_written",
                                            "dir.xrename.log_armed",

@@ -140,16 +140,6 @@ TEST_F(FsDataTest, UnlinkReturnsBlocksToAllocator) {
   EXPECT_EQ(fs_->blocks().free_blocks(), used + 256 * 1024 / 4096);
 }
 
-TEST_F(FsDataTest, RelaxedModeStillReadsBack) {
-  fs_->set_relaxed_writes(true);
-  const int fd = make_file("/relaxed");
-  ASSERT_TRUE(p().pwrite(fd, "no-lock", 7, 0).is_ok());
-  char buf[8] = {};
-  ASSERT_TRUE(p().pread(fd, buf, 7, 0).is_ok());
-  EXPECT_EQ(std::string(buf, 7), "no-lock");
-  fs_->set_relaxed_writes(false);
-}
-
 TEST_F(FsDataTest, OverwriteCommitsExactlyOneMetadataLine) {
   const int fd = make_file("/persistshape");
   std::vector<char> blk(4096, 'x');

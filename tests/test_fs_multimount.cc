@@ -279,6 +279,86 @@ TEST_F(MultiMountTest, LeaseReclaimWithoutHeldLocksKeepsSurvivorCaches) {
   EXPECT_EQ(read_all(b(), "/f"), "from c");
 }
 
+TEST_F(MultiMountTest, ReapOfAHeldFileLockDropsEveryMountsCaches) {
+  // Three mounts: C dies mid-write holding /d/g's file lock, and a
+  // survivor's reap sweeps that lock.  The sweep bumps the one cross-mount
+  // cache generation, so EVERY mount — the reaper and the bystander alike —
+  // drops its lookup, path and extent caches wholesale: its next stat and
+  // pread fill instead of hitting, and still see the right bytes.
+  auto fs_c = core::FileSystem::mount(*nvmm_, *shm_);
+  auto pc = fs_c->open_process(1000, 1000);
+  fs_a_->set_lease_ns(2'000'000);
+  fs_b_->set_lease_ns(2'000'000);
+  fs_c->set_lease_ns(2'000'000);
+  ASSERT_TRUE(a().mkdir("/d").is_ok());
+  write_all(a(), "/d/f", "payload");
+  write_all(*pc, "/d/g", "victim");
+  const std::uint64_t ino = a().stat("/d/f")->inode;
+
+  core::FileSystem* survivors[] = {fs_a_.get(), fs_b_.get()};
+  core::Process* procs[] = {pa_.get(), pb_.get()};
+  int fds[2];
+  for (int m = 0; m < 2; ++m) {
+    auto fd = procs[m]->open("/d/f", kOpenRead);
+    ASSERT_TRUE(fd.is_ok());
+    fds[m] = *fd;
+    char buf[8];
+    for (int i = 0; i < 2; ++i) {  // warm: the second round hits
+      ASSERT_TRUE(procs[m]->stat("/d/f").is_ok());
+      ASSERT_TRUE(procs[m]->pread(fds[m], buf, 7, 0).is_ok());
+    }
+    const core::FsStat st = survivors[m]->fsstat();
+    ASSERT_GT(st.lookup_hits, 0u);
+    ASSERT_GT(st.extent_hits, 0u);
+  }
+
+  const std::uint64_t gen0 =
+      fs_a_->sb().cache_gen.load(std::memory_order_acquire);
+  auto gfd = pc->open("/d/g", kOpenWrite);
+  ASSERT_TRUE(gfd.is_ok());
+  FailPoint::arm("fs.write.data_persisted");
+  bool crashed = false;
+  try {
+    (void)pc->pwrite(*gfd, "xx", 2, 0);
+  } catch (const CrashedException&) {
+    crashed = true;
+  }
+  ASSERT_TRUE(crashed);  // C died inside the write, its file lock held
+  pc.reset();
+  fs_c.reset();  // no unmount
+
+  // Either survivor (or its background heartbeat thread) may run the reap
+  // that sweeps C's lock; its sweep debt matures one lease after C's slot
+  // is reaped.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (fs_a_->sb().cache_gen.load(std::memory_order_acquire) == gen0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    (void)fs_a_->reap_dead_mounts();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_NE(fs_a_->sb().cache_gen.load(std::memory_order_acquire), gen0);
+  EXPECT_GE(fs_a_->reap_totals().file_locks + fs_b_->reap_totals().file_locks,
+            1u);
+
+  for (int m = 0; m < 2; ++m) {
+    SCOPED_TRACE(m == 0 ? "mount A" : "mount B");
+    const core::FsStat before = survivors[m]->fsstat();
+    auto st = procs[m]->stat("/d/f");
+    ASSERT_TRUE(st.is_ok());
+    char buf[8] = {};
+    ASSERT_TRUE(procs[m]->pread(fds[m], buf, 7, 0).is_ok());
+    const core::FsStat after = survivors[m]->fsstat();
+    EXPECT_EQ(after.lookup_hits, before.lookup_hits);
+    EXPECT_GT(after.lookup_fills, before.lookup_fills);
+    EXPECT_EQ(after.extent_hits, before.extent_hits);
+    EXPECT_GT(after.extent_fills, before.extent_fills);
+    EXPECT_GE(after.shard_invalidations, 1u);
+    EXPECT_EQ(st->inode, ino);
+    EXPECT_EQ(std::string(buf, 7), "payload");
+  }
+}
+
 // ---- dead-peer resource reclaim ----
 
 TEST_F(MultiMountTest, SurvivorReclaimsDeadMountsBlockReservations) {

@@ -206,6 +206,30 @@ TEST_F(SvcRingTest, DeadClientClaimsAreReaped) {
   }
 }
 
+TEST_F(SvcRingTest, UnstampedClaimIsReapedOnlyAfterAWholeLease) {
+  // Every slot sits in the window between a claimant's CAS and its stamp:
+  // claimed, stamp still 0.  Such a claim may be live, so a client reaps
+  // one only after watching it unchanged for a whole lease (common/lease.h),
+  // never on the stamp alone.
+  fs_b_->set_lease_ns(20'000'000);  // owner/client lease = 2 x 20 ms
+  const unsigned n = mb().n_slots();
+  for (unsigned i = 0; i < n; ++i) {
+    core::SvcSlot* s = mb().slot(i);
+    s->client_token.store(0xfeedu, std::memory_order_relaxed);
+    s->client_stamp_ns.store(0, std::memory_order_relaxed);
+    s->phase.store(core::kSvcClaimed, std::memory_order_release);
+  }
+  const std::uint64_t t0 = mono_ns();
+  const protsec::Credentials cred{1000, 1000};
+  EXPECT_TRUE(mb().request(SvcOp::kNoop, cred, {}, {}, 0, 0).is_ok());
+  EXPECT_GE(mono_ns() - t0, 40'000'000u);
+  for (unsigned i = 0; i < n; ++i) {
+    core::SvcSlot* s = mb().slot(i);
+    std::uint32_t ph = core::kSvcClaimed;
+    s->phase.compare_exchange_strong(ph, core::kSvcFree);
+  }
+}
+
 TEST_F(SvcRingTest, DeadWaitersResponseSlotIsFreedNotParked) {
   // A posted request whose waiter died: the server publishes, sees the
   // expired client stamp, and frees the slot instead of parking it kDone.
@@ -246,6 +270,21 @@ TEST_F(SvcRingTest, CleanOwnerShutdownHandsTheSeatOver) {
   ASSERT_TRUE(b().mkdir("/after-resign").is_ok());
   EXPECT_TRUE(mb().is_owner());
   EXPECT_TRUE(b().stat("/after-resign").is_ok());
+}
+
+TEST_F(SvcRingTest, UnstampedOwnerSeatIsTakenOnlyAfterAWholeLease) {
+  // A peer just won the seat's CAS and has not stamped it yet: the stamp
+  // is 0.  That owner may be live, so a waiting client elects itself only
+  // after watching the seat unchanged for a whole lease.
+  fs_b_->set_lease_ns(20'000'000);  // owner lease = 2 x 20 ms
+  ma().begin_shutdown(/*resign=*/false);  // A's server stops serving
+  mb().ring_header()->owner_token.store(0xfeedu, std::memory_order_release);
+  mb().ring_header()->owner_stamp_ns.store(0, std::memory_order_release);
+  const std::uint64_t t0 = mono_ns();
+  ASSERT_TRUE(b().mkdir("/elected").is_ok());
+  EXPECT_GE(mono_ns() - t0, 40'000'000u);
+  EXPECT_TRUE(mb().is_owner());
+  EXPECT_EQ(mb().failovers(), 1u);
 }
 
 TEST_F(SvcRingTest, OwnerCrashMidRenameRollsForwardOnFailover) {
