@@ -1,6 +1,7 @@
 #include "alloc/block_alloc.h"
 
-#include <algorithm>
+#include <bit>
+#include <bitset>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -10,7 +11,74 @@ namespace simurgh::alloc {
 
 namespace {
 
-constexpr std::uint64_t kMagic = 0x53494d5f424c4b31ull;  // "SIM_BLK1"
+constexpr std::uint64_t kMagic = 0x53494d5f424c4b32ull;  // "SIM_BLK2"
+constexpr std::uint64_t kNoRun = ~0ull;
+
+// Bits of map word `w` that fall inside block range [lo, hi).
+std::uint64_t range_mask(std::uint64_t w, std::uint64_t lo,
+                         std::uint64_t hi) noexcept {
+  const std::uint64_t first = w * 64;
+  std::uint64_t m = ~0ull;
+  if (lo > first) m &= ~0ull << (lo - first);
+  if (hi < first + 64) m &= (1ull << (hi - first)) - 1;
+  return m;
+}
+
+// First run of >= n clear bits inside [from, to), or kNoRun.  Constant work
+// per word (a carry from the words below plus an in-word shift-and search),
+// so the cost is the range's length in words, whatever the bit pattern.
+std::uint64_t find_run(const std::atomic<std::uint64_t>* map,
+                       std::uint64_t from, std::uint64_t to,
+                       std::uint64_t n) noexcept {
+  std::uint64_t carry = 0;  // free blocks ending right below word w
+  for (std::uint64_t w = from / 64; w * 64 < to; ++w) {
+    const std::uint64_t f =
+        ~map[w].load(std::memory_order_relaxed) & range_mask(w, from, to);
+    if (f == 0) {
+      carry = 0;
+      continue;
+    }
+    if (carry + static_cast<std::uint64_t>(std::countr_one(f)) >= n)
+      return w * 64 - carry;
+    if (n <= 64) {
+      std::uint64_t m = f;  // bit i survives iff bits i..i+n-1 are all free
+      for (std::uint64_t len = 1; len < n; len *= 2)
+        m &= m >> std::min(len, n - len);
+      if (m != 0) return w * 64 + static_cast<std::uint64_t>(std::countr_zero(m));
+    }
+    carry = f == ~0ull ? carry + 64
+                       : static_cast<std::uint64_t>(std::countl_one(f));
+  }
+  return kNoRun;
+}
+
+// First block in [b, to) whose bit is set, or `to`.
+std::uint64_t next_used(const std::atomic<std::uint64_t>* map, std::uint64_t b,
+                        std::uint64_t to) noexcept {
+  for (std::uint64_t w = b / 64; w * 64 < to; ++w) {
+    const std::uint64_t u =
+        map[w].load(std::memory_order_relaxed) & range_mask(w, b, to);
+    if (u != 0) return w * 64 + static_cast<std::uint64_t>(std::countr_zero(u));
+  }
+  return to;
+}
+
+// Sets (in_use) or clears the bits of blocks [b, b+n); returns how many
+// already had that value (a double claim or free).  Atomic RMWs: a word
+// straddling a segment boundary is shared with the neighbour segment.
+std::uint64_t flip_bits(std::atomic<std::uint64_t>* map, std::uint64_t b,
+                        std::uint64_t n, bool in_use) noexcept {
+  std::uint64_t already = 0;
+  for (std::uint64_t w = b / 64; w * 64 < b + n; ++w) {
+    const std::uint64_t m = range_mask(w, b, b + n);
+    const std::uint64_t old =
+        in_use ? map[w].fetch_or(m, std::memory_order_relaxed)
+               : map[w].fetch_and(~m, std::memory_order_relaxed);
+    already += static_cast<std::uint64_t>(
+        std::popcount(in_use ? old & m : ~old & m));
+  }
+  return already;
+}
 
 }  // namespace
 
@@ -19,149 +87,168 @@ BlockAllocator BlockAllocator::format(nvmm::Device& dev,
                                       std::uint64_t data_off,
                                       std::uint64_t data_len,
                                       unsigned n_segments) {
-  SIMURGH_CHECK(n_segments > 0);
+  SIMURGH_CHECK(n_segments > 0 && n_segments <= kShmMaxSegments);
   SIMURGH_CHECK(data_off % kBlockSize == 0);
-  BlockAllocator a(dev, header_off);
-  auto& h = a.header();
+  auto& h = *reinterpret_cast<BlockAllocHeader*>(dev.at(header_off));
   h.magic = kMagic;
   h.n_segments = n_segments;
   h.data_off = data_off;
   h.n_blocks = data_len / kBlockSize;
   nvmm::persist_now(h);
-
-  SegmentHeader* segs = a.segments();
-  const std::uint64_t per_seg = (h.n_blocks + n_segments - 1) / n_segments;
-  for (unsigned s = 0; s < n_segments; ++s) {
-    new (&segs[s]) SegmentHeader();
-    const std::uint64_t first = std::min<std::uint64_t>(
-        static_cast<std::uint64_t>(s) * per_seg, h.n_blocks);
-    const std::uint64_t count = std::min<std::uint64_t>(
-        per_seg, h.n_blocks - first);
-    if (count > 0) {
-      const std::uint64_t range_off = data_off + first * kBlockSize;
-      auto* range = reinterpret_cast<FreeRange*>(dev.at(range_off));
-      range->next = nvmm::pptr<FreeRange>();
-      range->n_blocks = count;
-      nvmm::persist_obj(*range);
-      segs[s].free_head.store(nvmm::pptr<FreeRange>(range_off));
-      segs[s].free_blocks.store(count, std::memory_order_relaxed);
-    }
-    nvmm::persist_obj(segs[s]);
-  }
-  nvmm::fence();
-  return a;
+  return attach(dev, header_off);
 }
 
 BlockAllocator BlockAllocator::attach(nvmm::Device& dev,
                                       std::uint64_t header_off) {
-  BlockAllocator a(dev, header_off);
-  SIMURGH_CHECK(a.header().magic == kMagic);
-  return a;
+  const auto& h = *reinterpret_cast<BlockAllocHeader*>(dev.at(header_off));
+  SIMURGH_CHECK(h.magic == kMagic);
+  return BlockAllocator(dev, h);
 }
 
-unsigned BlockAllocator::segment_of(std::uint64_t block_off) const noexcept {
-  const BlockAllocHeader& h = header();
-  const std::uint64_t idx = (block_off - h.data_off) / kBlockSize;
-  const std::uint64_t per_seg =
-      (h.n_blocks + h.n_segments - 1) / h.n_segments;
-  return static_cast<unsigned>(idx / per_seg);
-}
-
-// NO_THREAD_SAFETY_ANALYSIS on the three lock-word bodies: acquisition is a
-// lease CAS on seg.lock.owner (an atomic word is not a capability the
-// analysis can track), so the function-level ACQUIRE/RELEASE/TRY_ACQUIRE
-// attributes in block_alloc.h are the ground truth callers are checked
-// against; the bodies themselves cannot be proven by the analysis.
-bool BlockAllocator::try_lock_segment(SegmentHeader& seg)
+// NO_THREAD_SAFETY_ANALYSIS on the lock-word bodies: acquisition is a
+// lease CAS on seg.owner, which the analysis cannot track; the
+// ACQUIRE/RELEASE/TRY_ACQUIRE declarations are what callers are checked
+// against.
+bool BlockAllocator::try_lock_segment(ShmSegment& seg)
     NO_THREAD_SAFETY_ANALYSIS {
-  return common::lease_try_lock(seg.lock.owner, seg.lock.last_accessed_ns,
+  return common::lease_try_lock(seg.owner, seg.last_accessed_ns,
                                 common::lease_self_token());
 }
 
-bool BlockAllocator::lock_segment(SegmentHeader& seg)
-    NO_THREAD_SAFETY_ANALYSIS {  // see try_lock_segment
-  const bool stole =
-      common::lease_lock(seg.lock.owner, seg.lock.last_accessed_ns,
-                         common::lease_self_token(), lease_ns_);
-  if (stole) stats_->lock_steals.fetch_add(1, std::memory_order_relaxed);
+bool BlockAllocator::lock_segment(ShmSegment& seg) NO_THREAD_SAFETY_ANALYSIS {
+  const bool stole = common::lease_lock(seg.owner, seg.last_accessed_ns,
+                                        common::lease_self_token(), lease_ns_);
+  if (stole) {
+    // The dead holder may have flipped bits without moving the counter.
+    stats_->lock_steals.fetch_add(1, std::memory_order_relaxed);
+    recount(seg);
+  }
   return stole;
 }
 
-void BlockAllocator::unlock_segment(SegmentHeader& seg) noexcept
+bool BlockAllocator::steal_segment(ShmSegment& seg, std::uint64_t holder)
     NO_THREAD_SAFETY_ANALYSIS {  // see try_lock_segment
-  common::lease_unlock(seg.lock.owner, common::lease_self_token());
+  return seg.owner.compare_exchange_strong(holder, common::lease_self_token(),
+                                           std::memory_order_acq_rel);
+}
+
+void BlockAllocator::unlock_segment(ShmSegment& seg) noexcept
+    NO_THREAD_SAFETY_ANALYSIS {  // see try_lock_segment
+  common::lease_unlock(seg.owner, common::lease_self_token());
+}
+
+void BlockAllocator::recount(ShmSegment& seg) {
+  const unsigned s = index_of(seg);
+  const std::uint64_t lo = seg_lo(s), hi = seg_hi(s);
+  std::uint64_t free = 0;
+  for (std::uint64_t w = lo / 64; w * 64 < hi; ++w)
+    free += static_cast<std::uint64_t>(std::popcount(
+        ~map_[w].load(std::memory_order_relaxed) & range_mask(w, lo, hi)));
+  seg.free_blocks.store(free, std::memory_order_relaxed);
+}
+
+std::optional<BlockAllocator::Run> BlockAllocator::take_run(
+    ShmSegment& seg, std::uint64_t min_n, std::uint64_t max_n) {
+  const unsigned s = index_of(seg);
+  const std::uint64_t lo = seg_lo(s), hi = seg_hi(s);
+  std::uint64_t rover = seg.rover.load(std::memory_order_relaxed);
+  if (rover < lo || rover >= hi) rover = lo;
+  // Next fit from the rover, then first fit from the segment start: each
+  // word is read at most twice per size tried.
+  auto first_fit = [&](std::uint64_t n) {
+    const std::uint64_t b = find_run(map_, rover, hi, n);
+    return b != kNoRun || rover == lo ? b : find_run(map_, lo, hi, n);
+  };
+  std::uint64_t b = first_fit(max_n), n = max_n;
+  if (b == kNoRun && min_n < max_n && (b = first_fit(min_n)) != kNoRun)
+    n = next_used(map_, b, std::min(hi, b + max_n)) - b;
+  if (b == kNoRun) return std::nullopt;
+  SIMURGH_CHECK(flip_bits(map_, b, n, /*in_use=*/true) == 0);
+  // Dying here leaves the bits set and the counter stale: the lease thief
+  // recounts, and the blocks — referenced by nothing — wait for recovery.
+  SIMURGH_FAILPOINT("blockalloc.claim");
+  seg.free_blocks.fetch_sub(n, std::memory_order_relaxed);
+  seg.rover.store(b + n, std::memory_order_relaxed);
+  return Run{data_off_ + b * kBlockSize, n};
 }
 
 Result<std::uint64_t> BlockAllocator::alloc(std::uint64_t n_blocks,
                                             std::uint64_t hint) {
-  SIMURGH_CHECK(n_blocks > 0);
-  if (shared_ != nullptr && n_blocks <= kReserveServeMax) {
-    auto r = alloc_reserved(n_blocks, hint);
-    if (r.is_ok()) {
-      stats_->allocs.fetch_add(1, std::memory_order_relaxed);
-      return r;
-    }
-    // no_space from a refill can still be served piecemeal below.
-  }
-  auto r = alloc_direct(n_blocks, hint);
+  SIMURGH_CHECK(n_blocks > 0 && shared_ != nullptr);
+  auto r = n_blocks <= kReserveServeMax ? alloc_reserved(n_blocks, hint)
+                                        : carve_grant(n_blocks, hint);
   if (r.is_ok()) stats_->allocs.fetch_add(1, std::memory_order_relaxed);
   return r;
 }
 
-Result<std::uint64_t> BlockAllocator::alloc_direct(std::uint64_t n_blocks,
-                                                   std::uint64_t hint) {
-  BlockAllocHeader& h = header();
-  SegmentHeader* segs = segments();
-  // Mount affinity: rotate the walk by this mount's segment bias so peers
-  // with similar hints (e.g. both hammering pool growth off low pool-header
-  // offsets) start on different segment locks and free-list heads.  Within
-  // one mount the hint still clusters a file's blocks in one segment.
-  const unsigned start = static_cast<unsigned>(
-      (segment_bias_ + hint / kBlockSize) % h.n_segments);
+Result<std::uint64_t> BlockAllocator::carve_grant(std::uint64_t n,
+                                                  std::uint64_t hint) {
+  auto r = alloc_direct(n, n, hint);
+  if (!r.is_ok()) return r.status();
+  return r->off;
+}
 
-  // First pass: prefer an immediately free segment (the "move to the next
-  // segment if busy" rule).  Second pass: wait on each in turn.
-  for (int pass = 0; pass < 2; ++pass) {
-    for (unsigned i = 0; i < h.n_segments; ++i) {
-      SegmentHeader& seg = segs[(start + i) % h.n_segments];
-      if (pass == 0) {
-        if (!try_lock_segment(seg)) {
-          stats_->segment_hops.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-      } else {
-        lock_segment(seg);
-      }
-      auto r = alloc_from(seg, n_blocks);
-      unlock_segment(seg);
-      if (r.is_ok()) return r;
+Result<BlockAllocator::Run> BlockAllocator::alloc_direct(std::uint64_t min_n,
+                                                         std::uint64_t max_n,
+                                                         std::uint64_t hint) {
+  // Mount affinity: the bias rotates the walk so peers with similar hints
+  // start on different segment locks; within one mount the hint still
+  // clusters a file's blocks in one segment.
+  const unsigned start = static_cast<unsigned>(
+      (segment_bias_ + hint / kBlockSize) % n_segments_);
+  // One walk: take each segment that is free right now (the "move to the
+  // next segment if busy" rule), then wait only on the ones found busy.  A
+  // counter below the request skips the segment without locking it.
+  std::bitset<kShmMaxSegments> busy;
+  for (unsigned i = 0; i < 2 * n_segments_; ++i) {
+    const unsigned s = (start + i) % n_segments_;
+    ShmSegment& seg = shared_->segments[s];
+    if (i >= n_segments_) {
+      if (!busy.test(s)) continue;
+      lock_segment(seg);
+    } else if (seg.free_blocks.load(std::memory_order_relaxed) < min_n) {
+      continue;
+    } else if (!try_lock_segment(seg)) {
+      stats_->segment_hops.fetch_add(1, std::memory_order_relaxed);
+      busy.set(s);
+      continue;
     }
+    const auto r = take_run(seg, min_n, max_n);
+    unlock_segment(seg);
+    if (r) return *r;
   }
   return Errc::no_space;
 }
 
-Result<std::uint64_t> BlockAllocator::carve(std::uint64_t n_blocks,
-                                            std::uint64_t hint) {
+Result<BlockAllocator::Run> BlockAllocator::carve(std::uint64_t n_blocks,
+                                                  std::uint64_t hint) {
   if (CarveProxy* p = carve_proxy_->load(std::memory_order_acquire)) {
-    auto r = p->carve(n_blocks, hint);
-    // ok and no_space are the arbiter's answer; anything else (busy while
-    // the service endpoint shuts down, io after an owner crash with no seat
-    // takeable) degrades to the direct path — unarbitrated but crash-safe.
-    if (r.is_ok() || r.status().code() == Errc::no_space) return r;
+    // The arbiter grants exact sizes: a whole chunk, else just the request.
+    // ok and no_space are its answer; anything else (busy while the service
+    // endpoint shuts down, io after an owner crash with no seat takeable)
+    // degrades to the direct path — unarbitrated but crash-safe.
+    auto r = p->carve(kReserveChunk, hint);
+    std::uint64_t got = kReserveChunk;
+    if (r.code() == Errc::no_space) {
+      r = p->carve(n_blocks, hint);
+      got = n_blocks;
+    }
+    if (r.is_ok()) return Run{*r, got};
+    if (r.code() == Errc::no_space) return r.status();
   }
-  return alloc_direct(n_blocks, hint);
+  return alloc_direct(n_blocks, kReserveChunk, hint);
 }
 
 void BlockAllocator::attach_shared_state(ShmAllocShared* shared,
                                          std::uint64_t mount_token) noexcept {
+  SIMURGH_CHECK(shared->map_words >= free_map_words(n_blocks_));
   shared_ = shared;
+  map_ = shared->free_map();
   mount_token_ = mount_token;
   // Spread mounts across the segment ring (same mix as the reservation
   // home ranges so the whole allocator tier agrees on one affinity).
-  const unsigned n = n_segments();
-  segment_bias_ = n > 0 ? static_cast<unsigned>(
-                              (mount_token * 0x9e3779b97f4a7c15ull >> 40) % n)
-                        : 0;
+  segment_bias_ = static_cast<unsigned>(
+      (mount_token * 0x9e3779b97f4a7c15ull >> 40) % n_segments_);
 }
 
 ShmReservation* BlockAllocator::shm_thread_slot() {
@@ -233,14 +320,14 @@ Result<std::uint64_t> BlockAllocator::alloc_reserved(std::uint64_t n,
                                                      std::uint64_t hint) {
   const std::uint64_t self = common::lease_self_token();
   ShmReservation* res = shm_thread_slot();
-  if (res == nullptr) return alloc_direct(n, hint);
+  if (res == nullptr) return carve_grant(n, hint);
   lock_reservation(*res, self, lease_ns_);
   if (res->mount.load(std::memory_order_relaxed) != mount_token_ ||
       res->thread.load(std::memory_order_relaxed) != self) {
     // Lease-reclaimed between shm_thread_slot's check and our lock.  Serve
     // this call directly; the next call's revalidation rebinds.
     unlock_reservation(*res, self);
-    return alloc_direct(n, hint);
+    return carve_grant(n, hint);
   }
   if (res->n.load(std::memory_order_relaxed) >= n) {
     const std::uint64_t off = res->dev_off.load(std::memory_order_relaxed);
@@ -264,30 +351,29 @@ Result<std::uint64_t> BlockAllocator::alloc_reserved(std::uint64_t n,
   // Refill with the slot lock dropped: carving the chunk spins on segment
   // locks, and a short slot lease must not expire around that wait.
   unlock_reservation(*res, self);
-  auto c = carve(kReserveChunk, hint);
-  if (!c.is_ok()) {
-    // Near-full device: fall back to exactly what was asked for.
-    return carve(n, hint);
-  }
+  auto c = carve(n, hint);
+  if (!c.is_ok()) return c.status();
+  const std::uint64_t rest = c->n - n;
   lock_reservation(*res, self, lease_ns_);
   if (res->mount.load(std::memory_order_relaxed) == mount_token_ &&
       res->thread.load(std::memory_order_relaxed) == self &&
       res->n.load(std::memory_order_relaxed) == 0) {
-    res->dev_off.store(c.value() + n * kBlockSize, std::memory_order_relaxed);
-    res->n.store(kReserveChunk - n, std::memory_order_relaxed);
+    res->dev_off.store(c->off + n * kBlockSize, std::memory_order_relaxed);
+    res->n.store(rest, std::memory_order_relaxed);
     unlock_reservation(*res, self);
     stats_->reserve_refills.fetch_add(1, std::memory_order_relaxed);
-    return c.value();
+    return c->off;
   }
   // Lost the slot mid-refill (lease reclaim): keep the first n blocks for
   // the caller, give the remainder straight back.
   unlock_reservation(*res, self);
-  free(c.value() + n * kBlockSize, kReserveChunk - n);
-  return c.value();
+  if (rest > 0) free(c->off + n * kBlockSize, rest);
+  return c->off;
 }
 
-std::uint64_t BlockAllocator::reclaim_shm_slots(
+std::uint64_t BlockAllocator::reclaim_mount_reservations(
     const std::function<bool(std::uint64_t)>& match) {
+  if (shared_ == nullptr) return 0;
   std::uint64_t blocks = 0;
   const std::uint64_t self = common::lease_self_token();
   for (unsigned i = 0; i < kShmReserveSlots; ++i) {
@@ -316,139 +402,60 @@ std::uint64_t BlockAllocator::reclaim_shm_slots(
   return blocks;
 }
 
-std::uint64_t BlockAllocator::reclaim_mount_reservations(
-    const std::function<bool(std::uint64_t)>& dead) {
-  if (shared_ == nullptr) return 0;
-  return reclaim_shm_slots(dead);
-}
-
 unsigned BlockAllocator::reap_expired_segment_locks(unsigned* pending) {
-  SegmentHeader* segs = segments();
+  if (shared_ == nullptr) return 0;
   return reap_sweep_->pass(
-      header().n_segments, lease_ns_,
+      n_segments_, lease_ns_,
       [&](std::uint64_t s, std::uint64_t& owner, std::uint64_t& stamp) {
-        owner = segs[s].lock.owner.load(std::memory_order_relaxed);
-        stamp = segs[s].lock.last_accessed_ns.load(std::memory_order_relaxed);
+        const ShmSegment& seg = shared_->segments[s];
+        owner = seg.owner.load(std::memory_order_relaxed);
+        stamp = seg.last_accessed_ns.load(std::memory_order_relaxed);
         return owner != 0;
       },
       [&](std::uint64_t s, std::uint64_t owner) {
-        // Clearing straight to 0 is steal + immediate release: the holder
-        // died inside a critical section that alloc_from/free_into keep
-        // crash-consistent (recovery's rebuild sweeps any half-carved
-        // range).
-        if (!segs[s].lock.owner.compare_exchange_strong(
-                owner, 0, std::memory_order_acq_rel))
-          return false;
+        // Steal, recount, release: the holder died inside take_run or
+        // free, whose bit flips may have outrun the counter (the blocks a
+        // half-finished claim set stay in use until recovery).
+        ShmSegment& seg = shared_->segments[s];
+        if (!steal_segment(seg, owner)) return false;
+        recount(seg);
+        unlock_segment(seg);
         stats_->lock_steals.fetch_add(1, std::memory_order_relaxed);
         return true;
       },
       pending);
 }
 
-Result<std::uint64_t> BlockAllocator::alloc_from(SegmentHeader& seg,
-                                                 std::uint64_t n) {
-  // First-fit over the address-ordered free-range list.
-  nvmm::pptr<FreeRange> prev;
-  nvmm::pptr<FreeRange> cur = seg.free_head.load();
-  while (cur) {
-    FreeRange* range = cur.in(*dev_);
-    if (range->n_blocks >= n) {
-      const std::uint64_t remaining = range->n_blocks - n;
-      // Carve from the *tail* so the list node stays in place unless the
-      // range is consumed entirely.
-      if (remaining > 0) {
-        range->n_blocks = remaining;
-        nvmm::persist_obj(*range);
-        SIMURGH_FAILPOINT("blockalloc.split");
-        seg.free_blocks.fetch_sub(n, std::memory_order_relaxed);
-        nvmm::fence();
-        return cur.raw() + remaining * kBlockSize;
-      }
-      // Unlink the whole range.
-      const nvmm::pptr<FreeRange> next = range->next;
-      if (prev) {
-        prev.in(*dev_)->next = next;
-        nvmm::persist_obj(*prev.in(*dev_));
-      } else {
-        seg.free_head.store(next);
-        nvmm::persist_obj(seg.free_head);
-      }
-      SIMURGH_FAILPOINT("blockalloc.unlink");
-      seg.free_blocks.fetch_sub(n, std::memory_order_relaxed);
-      nvmm::fence();
-      return cur.raw();
-    }
-    prev = cur;
-    cur = range->next;
-  }
-  return Errc::no_space;
-}
-
 void BlockAllocator::free(std::uint64_t block_off, std::uint64_t n_blocks) {
-  SIMURGH_CHECK(n_blocks > 0);
-  SegmentHeader& seg = segments()[segment_of(block_off)];
-  lock_segment(seg);
-  free_into(seg, block_off, n_blocks);
-  unlock_segment(seg);
-  stats_->frees.fetch_add(1, std::memory_order_relaxed);
-}
-
-void BlockAllocator::free_into(SegmentHeader& seg, std::uint64_t block_off,
-                               std::uint64_t n) {
-  // Address-ordered insert with two-sided coalescing.
-  nvmm::pptr<FreeRange> prev;
-  nvmm::pptr<FreeRange> cur = seg.free_head.load();
-  while (cur && cur.raw() < block_off) {
-    prev = cur;
-    cur = cur.in(*dev_)->next;
+  SIMURGH_CHECK(n_blocks > 0 && shared_ != nullptr);
+  // A run may span segments: extent maps merge adjacent runs that two
+  // segments handed out.  Each part goes back under its own segment lock.
+  std::uint64_t b = (block_off - data_off_) / kBlockSize;
+  const std::uint64_t end = b + n_blocks;
+  SIMURGH_CHECK(end <= n_blocks_);
+  while (b < end) {
+    const unsigned s = static_cast<unsigned>(b / per_seg_);
+    const std::uint64_t n = std::min(end, seg_hi(s)) - b;
+    ShmSegment& seg = shared_->segments[s];
+    lock_segment(seg);
+    const std::uint64_t double_freed = flip_bits(map_, b, n, /*in_use=*/false);
+    seg.free_blocks.fetch_add(n, std::memory_order_relaxed);
+    unlock_segment(seg);
+    SIMURGH_CHECK(double_freed == 0);
+    b += n;
   }
-  auto* node = reinterpret_cast<FreeRange*>(dev_->at(block_off));
-  node->next = cur;
-  node->n_blocks = n;
-
-  bool merged_prev = false;
-  if (prev) {
-    FreeRange* p = prev.in(*dev_);
-    if (prev.raw() + p->n_blocks * kBlockSize == block_off) {
-      p->n_blocks += n;
-      // Forward-merge with cur if now adjacent.
-      if (cur && prev.raw() + p->n_blocks * kBlockSize == cur.raw()) {
-        p->n_blocks += cur.in(*dev_)->n_blocks;
-        p->next = cur.in(*dev_)->next;
-      }
-      nvmm::persist_obj(*p);
-      merged_prev = true;
-    }
-  }
-  if (!merged_prev) {
-    if (cur && block_off + n * kBlockSize == cur.raw()) {
-      node->n_blocks += cur.in(*dev_)->n_blocks;
-      node->next = cur.in(*dev_)->next;
-    }
-    nvmm::persist_obj(*node);
-    if (prev) {
-      prev.in(*dev_)->next = nvmm::pptr<FreeRange>(block_off);
-      nvmm::persist_obj(*prev.in(*dev_));
-    } else {
-      seg.free_head.store(nvmm::pptr<FreeRange>(block_off));
-      nvmm::persist_obj(seg.free_head);
-    }
-  }
-  seg.free_blocks.fetch_add(n, std::memory_order_relaxed);
-  nvmm::fence();
 }
 
 void BlockAllocator::drain_reservations(bool drain_all) {
-  if (shared_ == nullptr) return;
   // Own slots always; every claimed slot when last-out sweeps stragglers.
-  reclaim_shm_slots(
+  reclaim_mount_reservations(
       [&](std::uint64_t tok) { return drain_all || tok == mount_token_; });
 }
 
 void BlockAllocator::invalidate_reservations() noexcept {
   if (shared_ == nullptr) return;
   // Forget the ranges but keep slot claims: live peer threads rebind via
-  // revalidation; the caller is about to rebuild the free lists.
+  // revalidation; the caller is about to rebuild the free map.
   const std::uint64_t self = common::lease_self_token();
   for (unsigned i = 0; i < kShmReserveSlots; ++i) {
     ShmReservation& slot = shared_->reservations[i];
@@ -482,18 +489,61 @@ void BlockAllocator::for_each_reservation(
 }
 
 std::uint64_t BlockAllocator::free_blocks() const noexcept {
-  const BlockAllocHeader& h = header();
-  const SegmentHeader* segs = segments();
+  if (shared_ == nullptr) return 0;
   std::uint64_t total = 0;
-  for (unsigned s = 0; s < h.n_segments; ++s)
-    total += segs[s].free_blocks.load(std::memory_order_relaxed);
+  for (unsigned s = 0; s < n_segments_; ++s)
+    total += shared_->segments[s].free_blocks.load(std::memory_order_relaxed);
   // Reserved-but-unused blocks are still free space — they are just parked
-  // in a thread's shm reservation slot rather than on a segment list.
+  // in a thread's shm reservation slot rather than clear in the map.
   return total + reserved_unused_blocks();
 }
 
-unsigned BlockAllocator::n_segments() const noexcept {
-  return static_cast<unsigned>(header().n_segments);
+void BlockAllocator::rebuild_free_map(const std::uint64_t* used)
+    NO_THREAD_SAFETY_ANALYSIS {
+  // Quiescent by contract (recovery runs single-threaded behind the
+  // recovering token; a clean first-in mount loads before any peer may
+  // attach), so the segment locks are reset rather than taken.
+  SIMURGH_CHECK(shared_ != nullptr);
+  // Reservations reference blocks `used` leaves clear (no inode references
+  // them); forget them so nothing double-hands them out afterwards.
+  invalidate_reservations();
+  const std::uint64_t words = free_map_words(n_blocks_);
+  for (std::uint64_t w = 0; w < words; ++w) {
+    // Bits past the last block read as in use so no scan returns them.
+    const std::uint64_t beyond = ~range_mask(w, 0, n_blocks_);
+    map_[w].store((used != nullptr ? used[w] : 0) | beyond,
+                  std::memory_order_relaxed);
+  }
+  for (unsigned s = 0; s < n_segments_; ++s) {
+    ShmSegment& seg = shared_->segments[s];
+    seg.owner.store(0, std::memory_order_relaxed);
+    seg.last_accessed_ns.store(0, std::memory_order_relaxed);
+    seg.rover.store(seg_lo(s), std::memory_order_relaxed);
+    recount(seg);
+  }
+  std::atomic_thread_fence(std::memory_order_release);
+}
+
+void BlockAllocator::save_free_map(std::uint64_t snap_off) const {
+  const std::uint64_t words = free_map_words(n_blocks_);
+  auto* out = reinterpret_cast<std::uint64_t*>(dev_->at(snap_off));
+  for (std::uint64_t w = 0; w < words; ++w)
+    out[w] = map_[w].load(std::memory_order_relaxed);
+  nvmm::persist(out, words * sizeof(std::uint64_t));
+  nvmm::fence();
+}
+
+void BlockAllocator::for_each_free_run(
+    const std::function<void(unsigned, std::uint64_t, std::uint64_t)>& fn)
+    const {
+  for (unsigned s = 0; s < n_segments_; ++s) {
+    const std::uint64_t hi = seg_hi(s);
+    for (std::uint64_t b = seg_lo(s); (b = find_run(map_, b, hi, 1)) != kNoRun;) {
+      const std::uint64_t end = next_used(map_, b, hi);
+      fn(s, data_off_ + b * kBlockSize, end - b);
+      b = end;
+    }
+  }
 }
 
 }  // namespace simurgh::alloc

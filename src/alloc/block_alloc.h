@@ -1,25 +1,31 @@
 // Segmented concurrent block allocator (§4.2 "Block allocation").
 //
-// The device's data area is divided into `2 x n_cores` segments, each owning
-// a contiguous block range with its own free list, so concurrent threads
-// rarely collide (Hoard-style).  Each segment is guarded by an atomic lock
-// word paired with a `last_accessed` lease timestamp: a waiter that observes
-// the lease expired concludes the holder crashed and steals the lock — the
-// decentralized crash-detection rule of the paper (no kernel, no daemon).
+// The data area is divided into `2 x n_cores` segments, each owning a
+// contiguous block range, so concurrent threads rarely collide
+// (Hoard-style).  Each segment is guarded by a lease lock (common/lease.h):
+// a waiter that sees the holder silent for a whole lease concludes it
+// crashed and steals the lock — the paper's decentralized crash rule.
 //
-// Free space is kept as an address-ordered linked list of free *ranges*
-// threaded through the free blocks themselves (a free range's first block
-// stores {next, n_blocks}), allocated first-fit and coalesced on free.
-// Allocation picks the segment `(hint / align) % n_segments` so blocks of
+// Free space is a bitmap in the shared-DRAM device (alloc/shm_state.h), one
+// bit per block, set while the block is in use.  A free clears bits; an
+// allocation scans the segment's words from a per-segment rover for the
+// first clear run that fits, at a cost bounded by the segment's size in
+// words however fragmented it is.  Nothing on either path is persisted:
+// recovery rebuilds the map from reachability, the last clean unmount
+// snapshots it to NVMM for the next clean mount, and a lease thief
+// recounts the stolen segment's counter from its bits.
+//
+// Allocation starts at segment `(hint / align) % n_segments` so blocks of
 // one file cluster in one segment and files spread across segments; a busy
-// segment is skipped in favor of the next (paper's contention-avoidance
-// hop).
+// segment is skipped in favor of the next (the contention-avoidance hop).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <functional>
 #include <memory>
-#include <cstdint>
+#include <optional>
 
 #include "alloc/shm_state.h"
 #include "common/lease.h"
@@ -32,73 +38,34 @@ namespace simurgh::alloc {
 
 constexpr std::uint64_t kBlockSize = 4096;
 
-// Lock word + lease. 0 means free; otherwise an owner token.
-struct SegmentLock {
-  std::atomic<std::uint64_t> owner{0};
-  std::atomic<std::uint64_t> last_accessed_ns{0};
-};
-
-// Persistent per-segment state.  One segment header IS a free-list head —
-// the striping unit of the block tier — so each gets its own cache line:
-// the lock word is CASed on every direct allocation and free, and without
-// the padding two mounts working disjoint segments still ping-pong the
-// line holding both headers.
-//
-// The header doubles as the lock-discipline capability: its embedded
-// SegmentLock words are the runtime lock, and lock_segment()/
-// unlock_segment() below are the only acquire/release points, so
-// alloc_from()/free_into() can state REQUIRES(seg) and the analysis proves
-// no free-list mutation happens outside the segment lock.  The attribute is
-// compile-time only — sizeof stays 64 (static_assert below).
-struct alignas(64) CAPABILITY("segment_lease") SegmentHeader {
-  SegmentLock lock;
-  nvmm::atomic_pptr<struct FreeRange> free_head;
-  std::atomic<std::uint64_t> free_blocks{0};
-};
-static_assert(sizeof(SegmentHeader) == 64);
-
-// Stored in the first block of every free range.
-struct FreeRange {
-  nvmm::pptr<FreeRange> next;
-  std::uint64_t n_blocks = 0;
-};
-
 // Persistent allocator header (lives where the caller says, typically right
-// after the superblock).
+// after the superblock).  Geometry only: free space is volatile.
 struct BlockAllocHeader {
   std::uint64_t magic = 0;
   std::uint64_t n_segments = 0;
   std::uint64_t data_off = 0;   // first block, device offset
   std::uint64_t n_blocks = 0;   // total blocks in the data area
-  // SegmentHeader[n_segments] follows at the next 64-byte boundary (the
-  // headers are cache-line aligned; see SegmentHeader).
 };
 
-// Per-process DRAM counters; bumped relaxed (allocators of different
-// threads share one instance, and a lost increment is acceptable).
+// Per-process DRAM counters, bumped relaxed (lost increments acceptable).
 struct BlockAllocStats {
   std::atomic<std::uint64_t> allocs{0};
-  std::atomic<std::uint64_t> frees{0};
   std::atomic<std::uint64_t> segment_hops{0};  // busy-segment skips
   std::atomic<std::uint64_t> lock_steals{0};   // expired leases taken over
   std::atomic<std::uint64_t> reserve_hits{0};     // served without any lock
   std::atomic<std::uint64_t> reserve_refills{0};  // chunk carves
   std::atomic<std::uint64_t> reserve_drains{0};   // remainders returned
-  // Shm reservation slots probed while claiming/rebinding a thread slot
-  // (shm_thread_slot).  Scan lengths near kShmReserveHomeSlots mean the
-  // home range is saturated and claims are spilling into foreign ranges.
+  // Slots probed claiming/rebinding a thread slot (shm_thread_slot); scans
+  // near kShmReserveHomeSlots mean claims spill out of the home range.
   std::atomic<std::uint64_t> reserve_slot_probes{0};
 };
 
 // Arbitration hook for reservation-chunk carves (service mode, DESIGN.md
-// §13).  When installed, every refill chunk the allocator would have carved
-// with its own segment locks is requested through the proxy instead — on a
-// service-mode client that routes a kCarve to the owner mount, so the owner
-// arbitrates block grants the same way it arbitrates namespace mutations.
-// The proxy returning busy (service shutting down / owner unreachable with
-// no seat to take) makes the allocator fall back to the direct path: a
-// grant the owner never saw is still crash-safe (recovery's
-// rebuild_free_lists sweep), just unarbitrated.
+// §13).  When installed, every refill chunk is requested through the proxy
+// — a service-mode client routes a kCarve to the owner mount, which
+// arbitrates block grants like namespace mutations.  Any answer but ok or
+// no_space (service shutting down, owner unreachable) falls back to the
+// direct path: unarbitrated, still crash-safe.
 class CarveProxy {
  public:
   virtual ~CarveProxy() = default;
@@ -110,28 +77,26 @@ class CarveProxy {
 class BlockAllocator {
  public:
   // Formats the allocator over device blocks [data_off, data_off+len) with
-  // its persistent header at `header_off`.
+  // its persistent header at `header_off`.  A fresh format's map is filled
+  // after attach_shared_state() by rebuild_free_map(nullptr).
   static BlockAllocator format(nvmm::Device& dev, std::uint64_t header_off,
                                std::uint64_t data_off, std::uint64_t data_len,
                                unsigned n_segments);
   // Attaches to an already formatted allocator (normal mount).
   static BlockAllocator attach(nvmm::Device& dev, std::uint64_t header_off);
 
-  // Allocates `n_blocks` contiguous blocks; returns the device offset of
-  // the first block.  `hint` (typically the file's inode offset) selects
-  // the starting segment.
+  // Allocates `n_blocks` contiguous blocks; returns the first one's device
+  // offset.  `hint` (typically the file's inode offset) picks the segment.
   Result<std::uint64_t> alloc(std::uint64_t n_blocks, std::uint64_t hint);
 
-  // Returns blocks to the segment that owns their address range.
+  // Returns blocks to the segments that own their address range.
   void free(std::uint64_t block_off, std::uint64_t n_blocks);
 
   [[nodiscard]] std::uint64_t free_blocks() const noexcept;
-  [[nodiscard]] unsigned n_segments() const noexcept;
-  [[nodiscard]] std::uint64_t data_off() const noexcept {
-    return header().data_off;
-  }
+  [[nodiscard]] unsigned n_segments() const noexcept { return n_segments_; }
+  [[nodiscard]] std::uint64_t data_off() const noexcept { return data_off_; }
   [[nodiscard]] std::uint64_t n_blocks_total() const noexcept {
-    return header().n_blocks;
+    return n_blocks_;
   }
 
   // Lease after which a lock holder counts as crashed.  Short values are
@@ -140,70 +105,57 @@ class BlockAllocator {
 
   BlockAllocStats& stats() noexcept { return *stats_; }
 
-  // Installs (or, with nullptr, removes) the carve arbitration proxy.  The
-  // pointer must outlive every allocation made while it is installed —
-  // FileSystem clears it before tearing the service endpoint down.
+  // Installs (or, with nullptr, removes) the carve arbitration proxy; it
+  // must outlive every allocation made while it is installed.
   void set_carve_proxy(CarveProxy* proxy) noexcept {
     carve_proxy_->store(proxy, std::memory_order_release);
   }
-  // Owner-side execution of an arbitrated carve: a plain direct allocation,
-  // public so the service dispatcher can grant without re-entering the
-  // proxy (which would route the request back to itself).
+  // Exactly `n_blocks` through the direct path.  Public as the owner-side
+  // execution of an arbitrated carve: the service dispatcher grants
+  // without re-entering the proxy (which would route back to itself).
   Result<std::uint64_t> carve_grant(std::uint64_t n_blocks,
-                                    std::uint64_t hint) {
-    return alloc_direct(n_blocks, hint);
-  }
+                                    std::uint64_t hint);
 
   // ---- per-thread block reservations (data-path fast lane) ----
   //
   // Small allocations (≤ kReserveServeMax blocks) are served from a
-  // per-thread chunk of kReserveChunk blocks carved under ONE segment-lock
-  // acquisition and handed out in ascending address order (so consecutive
-  // appends of one thread form one extent per chunk).  Larger requests and
-  // frees keep the direct path.
+  // per-thread chunk carved under ONE segment-lock acquisition and handed
+  // out in ascending address order (so consecutive appends of one thread
+  // form one extent per chunk).  A chunk is kReserveChunk blocks, or, in a
+  // segment with no such run left, the first run that fits the request,
+  // capped at kReserveChunk.  Larger requests and frees go direct.
   //
   // Every reservation is a fixed shm slot (alloc/shm_state.h) stamped with
-  // the owning mount's token, so N concurrent mounts share the accounting
-  // and a survivor can return a dead mount's carved remainders to the free
-  // lists via reclaim_mount_reservations() without a remount (the
-  // decentralized crash rule, §4.2).  Reservations are volatile: the
-  // carved-but-unwritten blocks are referenced by no inode, so after a
-  // crash recovery's rebuild_free_lists sweep returns them to the lists.
-  // An allocator without attach_shared_state() serves every request
-  // through the direct path.
+  // the owning mount's token, so mounts share the accounting and a
+  // survivor returns a dead mount's remainders to the map without a
+  // remount (reclaim_mount_reservations).  After a crash, recovery's
+  // rebuild_free_map returns them: no inode references those blocks.
   static constexpr std::uint64_t kReserveChunk = 64;  // 256 KB
   static constexpr std::uint64_t kReserveServeMax = 8;
   static_assert(kReserveServeMax < kReserveChunk);
 
-  // Enables reservations in the shared-DRAM slots (`shared` lives in the
-  // shm device's header) and tags every future carve with `mount_token`.
-  // Call before the first alloc().
+  // Binds the allocator to the shm allocator block (in the shm device's
+  // header; its free map must cover this allocator's blocks) and tags
+  // every future carve with `mount_token`.  Required before any alloc().
   void attach_shared_state(ShmAllocShared* shared,
                            std::uint64_t mount_token) noexcept;
-  [[nodiscard]] std::uint64_t mount_token() const noexcept {
-    return mount_token_;
-  }
 
-  // Survivor-side reclaim: frees every shm reservation slot whose owning
-  // mount `dead(token)` names (its process is gone; lease-expired).
-  // Returns the number of blocks returned to the free lists.
+  // Survivor-side reclaim: frees every claimed shm reservation slot whose
+  // owning mount `match(token)` names (its process is gone).  Returns the
+  // number of blocks returned to the free map.
   std::uint64_t reclaim_mount_reservations(
-      const std::function<bool(std::uint64_t)>& dead);
+      const std::function<bool(std::uint64_t)>& match);
 
-  // Survivor-side reclaim: clears segment locks that stayed unchanged for
-  // a whole lease across passes (common/lease.h; eager form of the steal in
-  // lock_segment).  Returns the number of locks cleared; adds to `pending`
-  // the stale-stamped locks still watched.
+  // Survivor-side reclaim: steals, recounts and releases every segment
+  // lock that stayed unchanged for a whole lease across passes (eager form
+  // of the steal in lock_segment).  Returns locks reclaimed; adds to
+  // `pending` the stale-stamped locks still watched.
   unsigned reap_expired_segment_locks(unsigned* pending = nullptr);
 
   // Clean shutdown: returns the unused remainder of every slot THIS mount
-  // owns (including slots of its exited threads) to the free lists —
-  // peers' chunks are still live; last-out can sweep stragglers with
-  // drain_all=true.
+  // owns (slots of its exited threads too) to the free map; last-out
+  // sweeps every mount's stragglers with drain_all=true.
   void drain_reservations(bool drain_all = false);
-  // Recovery: forget all reservations WITHOUT touching the device — the
-  // caller is about to rebuild_free_lists, which reclaims the blocks.
-  void invalidate_reservations() noexcept;
   // Blocks carved into reservations but not yet handed out; counted as free
   // by free_blocks() so accounting stays exact.
   [[nodiscard]] std::uint64_t reserved_unused_blocks() const noexcept;
@@ -212,93 +164,91 @@ class BlockAllocator {
   void for_each_reservation(
       const std::function<void(std::uint64_t, std::uint64_t)>& fn) const;
 
-  // Recovery: rebuild every segment's free list from a caller-provided
-  // "block in use" predicate (mark phase done by the FS sweep).
-  template <typename InUseFn>
-  void rebuild_free_lists(InUseFn&& in_use);
+  // ---- whole-map transitions (quiescent callers) ----
+  //
+  // Installs the free map from `used`, laid out like the map itself (bit b
+  // set iff data block b is in use; nullptr: nothing in use, a fresh
+  // format), forgets every reservation, resets the segment locks and
+  // rovers and recounts every segment.  Recovery passes its mark bitmap, a
+  // clean mount the NVMM snapshot save_free_map() wrote.
+  void rebuild_free_map(const std::uint64_t* used);
+  // Copies the map to device offset `snap_off`, flushed and fenced.
+  void save_free_map(std::uint64_t snap_off) const;
 
-  // Read-only walk of every free range: fn(segment_index, range_dev_off,
-  // n_blocks).  Quiescent-state inspection only (fsck); does not lock.
-  template <typename Fn>
-  void for_each_free_range(Fn&& fn) const {
-    const BlockAllocHeader& h = header();
-    const SegmentHeader* segs = segments();
-    for (unsigned s = 0; s < h.n_segments; ++s) {
-      nvmm::pptr<FreeRange> cur = segs[s].free_head.load();
-      while (cur) {
-        const FreeRange* range = cur.in(*dev_);
-        fn(s, cur.raw(), range->n_blocks);
-        cur = range->next;
-      }
-    }
-  }
+  // Walks every maximal free run, split at segment boundaries:
+  // fn(segment_index, run_dev_off, n_blocks).  Unlocked; for fsck.
+  void for_each_free_run(
+      const std::function<void(unsigned, std::uint64_t, std::uint64_t)>& fn)
+      const;
 
   // Free-block counter of one segment (fsck cross-checks it against the
-  // segment's actual free-range list).
+  // clear bits of the segment's map range).
   [[nodiscard]] std::uint64_t segment_free_blocks(unsigned s) const noexcept {
-    return segments()[s].free_blocks.load(std::memory_order_acquire);
+    return shared_->segments[s].free_blocks.load(std::memory_order_acquire);
   }
 
  private:
-  BlockAllocator(nvmm::Device& dev, std::uint64_t header_off)
+  struct Run {  // blocks handed out by one segment
+    std::uint64_t off;
+    std::uint64_t n;
+  };
+
+  BlockAllocator(nvmm::Device& dev, const BlockAllocHeader& h)
       : dev_(&dev),
-        header_off_(header_off),
+        data_off_(h.data_off),
+        n_blocks_(h.n_blocks),
+        per_seg_((h.n_blocks + h.n_segments - 1) / h.n_segments),
+        n_segments_(static_cast<unsigned>(h.n_segments)),
         stats_(std::make_unique<BlockAllocStats>()) {}
 
-  [[nodiscard]] BlockAllocHeader& header() const noexcept {
-    return *reinterpret_cast<BlockAllocHeader*>(dev_->at(header_off_));
+  // Block-index range [lo, hi) of segment `s`.
+  [[nodiscard]] std::uint64_t seg_lo(unsigned s) const noexcept {
+    return std::min<std::uint64_t>(s * per_seg_, n_blocks_);
   }
-  [[nodiscard]] SegmentHeader* segments() const noexcept {
-    // 64-byte aligned so the alignas(64) per-segment headers actually land
-    // on cache-line boundaries in the device mapping (header offsets are
-    // page-aligned by the callers).
-    const std::uint64_t base =
-        (header_off_ + sizeof(BlockAllocHeader) + 63) / 64 * 64;
-    return reinterpret_cast<SegmentHeader*>(dev_->at(base));
+  [[nodiscard]] std::uint64_t seg_hi(unsigned s) const noexcept {
+    return std::min<std::uint64_t>(seg_lo(s) + per_seg_, n_blocks_);
   }
-  [[nodiscard]] unsigned segment_of(std::uint64_t block_off) const noexcept;
-
-  // Spin-acquire with lease stealing; returns true if the lock was stolen.
-  // (A lease steal IS an acquisition by the thief: the previous holder died
-  // and will never release, so the capability transfers.)
-  bool lock_segment(SegmentHeader& seg) ACQUIRE(seg);
-  void unlock_segment(SegmentHeader& seg) noexcept RELEASE(seg);
-  bool try_lock_segment(SegmentHeader& seg) TRY_ACQUIRE(true, seg);
-
-  // Free-list mutation: callers must hold the segment lock.
-  Result<std::uint64_t> alloc_from(SegmentHeader& seg, std::uint64_t n)
-      REQUIRES(seg);
-  void free_into(SegmentHeader& seg, std::uint64_t block_off, std::uint64_t n)
-      REQUIRES(seg);
-
-  // Recovery runs single-threaded before any peer can allocate (the mount
-  // registry serialises it behind the recovering token), so
-  // rebuild_free_lists legitimately rebuilds free lists without taking the
-  // per-segment locks it just reset.  ASSERT_CAPABILITY tells the analysis
-  // this quiescence is equivalent to holding the lock; it emits no code.
-  static void assume_quiescent(SegmentHeader& seg) ASSERT_CAPABILITY(seg) {
-    (void)seg;
+  [[nodiscard]] unsigned index_of(const ShmSegment& seg) const noexcept {
+    return static_cast<unsigned>(&seg - shared_->segments);
   }
 
-  // The pre-reservation allocation path (two-pass segment walk).
-  Result<std::uint64_t> alloc_direct(std::uint64_t n_blocks,
-                                     std::uint64_t hint);
+  // Spin-acquire with lease stealing (the capability transfers to the
+  // thief, which recounts the segment's counter); true if stolen.
+  bool lock_segment(ShmSegment& seg) ACQUIRE(seg);
+  void unlock_segment(ShmSegment& seg) noexcept RELEASE(seg);
+  bool try_lock_segment(ShmSegment& seg) TRY_ACQUIRE(true, seg);
+  // Reaper's takeover: acquires only if `holder` still owns the word.
+  bool steal_segment(ShmSegment& seg, std::uint64_t holder)
+      TRY_ACQUIRE(true, seg);
+
+  // Claims the first run of at least `min_n` clear bits of the segment —
+  // preferring a whole `max_n` run — capped at `max_n` blocks.
+  std::optional<Run> take_run(ShmSegment& seg, std::uint64_t min_n,
+                              std::uint64_t max_n) REQUIRES(seg);
+  // Re-derives free_blocks from the segment's map bits.
+  void recount(ShmSegment& seg) REQUIRES(seg);
+
+  // Direct path: one walk over the segments from the hint's segment.
+  Result<Run> alloc_direct(std::uint64_t min_n, std::uint64_t max_n,
+                           std::uint64_t hint);
   // Reservation refill: through the carve proxy when installed (service
   // mode), alloc_direct otherwise.
-  Result<std::uint64_t> carve(std::uint64_t n_blocks, std::uint64_t hint);
+  Result<Run> carve(std::uint64_t n_blocks, std::uint64_t hint);
   // Serves from this thread's shm slot, refilling it with one carve.
   Result<std::uint64_t> alloc_reserved(std::uint64_t n_blocks,
                                        std::uint64_t hint);
   // Claims (or revalidates) this thread's shm reservation slot; nullptr if
   // all slots are taken (caller falls back to the direct path).
   ShmReservation* shm_thread_slot();
-  // Frees every claimed shm slot whose owning mount `match`es; returns
-  // blocks returned to the free lists.
-  std::uint64_t reclaim_shm_slots(
-      const std::function<bool(std::uint64_t)>& match);
+  // Forgets every reservation without touching the map (rebuild_free_map).
+  void invalidate_reservations() noexcept;
 
   nvmm::Device* dev_;
-  std::uint64_t header_off_;
+  // The persistent header's (immutable) geometry.
+  std::uint64_t data_off_ = 0;
+  std::uint64_t n_blocks_ = 0;
+  std::uint64_t per_seg_ = 0;
+  unsigned n_segments_ = 0;
   std::uint64_t lease_ns_ = 100'000'000;  // 100 ms
   // Heap-held so the allocator stays movable (atomics pin the struct).
   std::unique_ptr<BlockAllocStats> stats_;
@@ -307,52 +257,13 @@ class BlockAllocator {
   // Heap-held for the same movability reason; read on every refill carve.
   std::unique_ptr<std::atomic<CarveProxy*>> carve_proxy_ =
       std::make_unique<std::atomic<CarveProxy*>>(nullptr);
-  // Reservation slots; nullptr until attach_shared_state (no reservations).
+  // Free map, segment locks, reservation slots (attach_shared_state).
   ShmAllocShared* shared_ = nullptr;
+  std::atomic<std::uint64_t>* map_ = nullptr;
   std::uint64_t mount_token_ = 0;
-  // Segment affinity: alloc_direct rotates each mount's segment walk by
-  // this bias so two mounts with similar hints start on different segment
-  // locks (set by attach_shared_state from the mount token; 0 until then).
+  // Segment affinity: alloc_direct rotates each mount's walk by this bias
+  // so mounts with similar hints start on different segment locks.
   unsigned segment_bias_ = 0;
 };
-
-template <typename InUseFn>
-void BlockAllocator::rebuild_free_lists(InUseFn&& in_use) {
-  // Reservations reference blocks that are about to re-enter the free
-  // lists (no inode references them, so in_use() says free); forget them
-  // first so nothing double-hands them out afterwards.
-  invalidate_reservations();
-  BlockAllocHeader& h = header();
-  SegmentHeader* segs = segments();
-  const std::uint64_t per_seg =
-      (h.n_blocks + h.n_segments - 1) / h.n_segments;
-  for (unsigned s = 0; s < h.n_segments; ++s) {
-    segs[s].lock.owner.store(0, std::memory_order_relaxed);
-    segs[s].free_head.store(nvmm::pptr<FreeRange>());
-    segs[s].free_blocks.store(0, std::memory_order_relaxed);
-  }
-  // Sweep the data area, accumulating maximal free runs per segment.
-  std::uint64_t run_start = 0, run_len = 0;
-  auto flush_run = [&] {
-    while (run_len > 0) {
-      const std::uint64_t seg_idx = run_start / per_seg;
-      const std::uint64_t seg_end = (seg_idx + 1) * per_seg;
-      const std::uint64_t take = std::min(run_len, seg_end - run_start);
-      assume_quiescent(segs[seg_idx]);  // recovery is single-threaded
-      free_into(segs[seg_idx], h.data_off + run_start * kBlockSize, take);
-      run_start += take;
-      run_len -= take;
-    }
-  };
-  for (std::uint64_t b = 0; b < h.n_blocks; ++b) {
-    if (in_use(h.data_off + b * kBlockSize)) {
-      flush_run();
-    } else {
-      if (run_len == 0) run_start = b;
-      ++run_len;
-    }
-  }
-  flush_run();
-}
 
 }  // namespace simurgh::alloc

@@ -3,17 +3,22 @@
 // The paper's deployment model is N independent processes mounting one NVMM
 // region with no server (§4).  Any mutable allocator state that more than
 // one mount can reach therefore must live where every mount — and every
-// *survivor* of a crashed mount — can see it.  These two pieces are the
-// allocators' only volatile state; neither has a mount-private copy:
+// *survivor* of a crashed mount — can see it.  These pieces are the
+// allocators' only volatile state; none has a mount-private copy:
+//
+//   * The block free map (block_alloc.h): one bit per data-area block, set
+//     while in use, plus each segment's lease lock, free counter and
+//     rover — the only record of free space.  The first mount of an era
+//     fills it (from the clean-unmount snapshot, or from recovery's mark
+//     bitmap) and every later mount attaches to it.
 //
 //   * Block reservations (block_alloc.h "per-thread block reservations"):
-//     a chunk carved out of a segment's persistent free list and handed out
-//     to one thread.  If the carving mount dies, the unused remainder is
-//     referenced by no inode and sits on no free list; survivors must be
-//     able to find it and give it back without a full remount.  Each
-//     reservation is a fixed shm slot stamped with the owning mount's
-//     token, guarded by a slot lease lock (common/lease.h).  A block
-//     allocator with no slots attached serves every request directly.
+//     a chunk carved out of the free map and handed out to one thread.  If
+//     the carving mount dies, the unused remainder is referenced by no
+//     inode yet set in the map; survivors must be able to find it and give
+//     it back without a full remount.  Each reservation is a fixed shm slot
+//     stamped with the owning mount's token, guarded by a slot lease lock
+//     (common/lease.h).
 //
 //   * The object allocator's free-object cache (obj_alloc.h): offsets of
 //     free pool objects.  The on-media two-bit CAS claim remains the only
@@ -38,11 +43,12 @@
 // slots instead of the whole table.
 //
 // Everything here is volatile: a fresh boot reformats the shm device and
-// recovery re-derives all of it from NVMM.
+// the first mount re-derives all of it from NVMM.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <new>
 
 #include "common/lease.h"
 #include "common/thread_annotations.h"
@@ -230,25 +236,54 @@ struct ObjCacheStack {
 
 constexpr unsigned kShmNumPools = 4;  // mirrors core::kNumPools
 
+// One block-allocator segment, padded to a cache line: the lock word is
+// CASed on every direct allocation and free, and two mounts working
+// disjoint segments must not ping-pong one line.  The struct is the
+// capability its lease words implement (BlockAllocator::lock_segment), so
+// the map claim states REQUIRES(seg).  `free_blocks` and `rover` change
+// only under the lock; free_blocks() sums the counters lock-free.
+struct alignas(64) CAPABILITY("segment_lease") ShmSegment {
+  std::atomic<std::uint64_t> owner{0};             // lease owner token
+  std::atomic<std::uint64_t> last_accessed_ns{0};  // lease stamp
+  std::atomic<std::uint64_t> free_blocks{0};  // clear map bits in range
+  std::atomic<std::uint64_t> rover{0};        // block index the scan starts at
+};
+static_assert(sizeof(ShmSegment) == 64);
+
+constexpr unsigned kShmMaxSegments = 256;  // mirrors core::kMaxSegments
+
+// Words of a free map covering `n_blocks` blocks (one bit each).
+constexpr std::uint64_t free_map_words(std::uint64_t n_blocks) noexcept {
+  return (n_blocks + 63) / 64;
+}
+
 // The allocator block of the shm header (core/layout.h embeds one).
 // Blocks carved into reservations but not yet handed out stay visible via
 // the slots' `n` fields (summed by reserved_unused_blocks()), so
 // free_blocks() accounting stays exact across mounts with no shared
-// hot-path counter.
+// hot-path counter.  The free map itself is sized by the NVMM geometry, so
+// it lives outside the fixed struct, `map_off` bytes past it (offsets, not
+// pointers: every process maps the shm device at its own address).
 struct ShmAllocShared {
   ShmReservation reservations[kShmReserveSlots];
   ObjCacheStack obj_stacks[kShmNumPools];
+  ShmSegment segments[kShmMaxSegments];
+  std::uint64_t map_off = 0;    // free map, bytes past this struct
+  std::uint64_t map_words = 0;  // its length in 64-bit words
 
-  void reset() noexcept {
-    for (auto& r : reservations) {
-      r.lock.store(0, std::memory_order_relaxed);
-      r.lock_stamp_ns.store(0, std::memory_order_relaxed);
-      r.mount.store(0, std::memory_order_relaxed);
-      r.thread.store(0, std::memory_order_relaxed);
-      r.dev_off.store(0, std::memory_order_relaxed);
-      r.n.store(0, std::memory_order_relaxed);
-    }
+  [[nodiscard]] std::atomic<std::uint64_t>* free_map() noexcept {
+    return reinterpret_cast<std::atomic<std::uint64_t>*>(
+        reinterpret_cast<unsigned char*>(this) + map_off);
+  }
+
+  // Quiescent re-initialisation (shm format).  The map's bits and the
+  // segment counters are left for BlockAllocator::rebuild_free_map.
+  void reset(std::uint64_t free_map_off, std::uint64_t n_map_words) noexcept {
+    for (auto& r : reservations) new (&r) ShmReservation();
     for (auto& s : obj_stacks) s.reset();
+    for (auto& s : segments) new (&s) ShmSegment();
+    map_off = free_map_off;
+    map_words = n_map_words;
   }
 };
 

@@ -21,9 +21,10 @@ enum BlockOwner : std::uint8_t {
   kOwnerPoolSegment,
   kOwnerFileData,
   kOwnerSymlinkData,
-  kOwnerFreeList,
+  kOwnerFreeMap,
   kOwnerReservation,
   kOwnerCrcTable,
+  kOwnerFreeMapSnapshot,
 };
 
 const char* owner_name(std::uint8_t o) noexcept {
@@ -31,9 +32,10 @@ const char* owner_name(std::uint8_t o) noexcept {
     case kOwnerPoolSegment: return "pool segment";
     case kOwnerFileData: return "file extent";
     case kOwnerSymlinkData: return "symlink target";
-    case kOwnerFreeList: return "free list";
+    case kOwnerFreeMap: return "free map";
     case kOwnerReservation: return "thread reservation";
     case kOwnerCrcTable: return "crc table";
+    case kOwnerFreeMapSnapshot: return "free-map snapshot";
     default: return "nothing";
   }
 }
@@ -50,7 +52,7 @@ class Checker {
     walk_namespace();
     check_link_counts();
     check_leaked_objects();
-    check_free_lists();
+    check_free_map();
     check_block_coverage();
     fill_census();
     return std::move(r_);
@@ -170,6 +172,9 @@ class Checker {
     if (sb.crc_table_blocks != 0)
       claim(sb.crc_table_off, sb.crc_table_blocks, kOwnerCrcTable,
             "crc table");
+    if (sb.free_map_blocks != 0)
+      claim(sb.free_map_off, sb.free_map_blocks, kOwnerFreeMapSnapshot,
+            "free-map snapshot");
   }
 
   void walk_namespace() {
@@ -460,43 +465,28 @@ class Checker {
                " unreachable from the root (leak)");
   }
 
-  void check_free_lists() {
+  // Every block clear in the free map is owned by the map; together with
+  // the in-use claims above and check_block_coverage, each block ends up
+  // with exactly one owner: a structure, the map, or a reservation.
+  void check_free_map() {
     alloc::BlockAllocator& blocks = fs_.blocks();
-    const std::uint64_t data_off = blocks.data_off();
-    const std::uint64_t n_blocks = blocks.n_blocks_total();
-    const unsigned n_seg = blocks.n_segments();
-    const std::uint64_t per_seg = (n_blocks + n_seg - 1) / n_seg;
-    std::vector<std::uint64_t> seg_free(n_seg, 0);
-    std::vector<std::uint64_t> last_end(n_seg, 0);
-    blocks.for_each_free_range(
+    std::vector<std::uint64_t> seg_free(blocks.n_segments(), 0);
+    blocks.for_each_free_run(
         [&](unsigned s, std::uint64_t off, std::uint64_t count) {
-          claim(off, count, kOwnerFreeList, "free range");
+          claim(off, count, kOwnerFreeMap, "free map");
           seg_free[s] += count;
           r_.free_blocks += count;
-          if (count == 0 || off < data_off) return;  // claim() reported it
-          const std::uint64_t first = (off - data_off) / alloc::kBlockSize;
-          if (first / per_seg != s ||
-              (first + count - 1) / per_seg != s)
-            fail("free range @", off, " (", count,
-                 " blocks) not contained in segment ", s);
-          if (last_end[s] != 0 && off < last_end[s])
-            fail("segment ", s, ": free list not address-ordered at @",
-                 off);
-          else if (last_end[s] != 0 && off == last_end[s])
-            fail("segment ", s, ": adjacent free ranges not coalesced at @",
-                 off);
-          last_end[s] = off + count * alloc::kBlockSize;
         });
-    for (unsigned s = 0; s < n_seg; ++s)
+    for (unsigned s = 0; s < blocks.n_segments(); ++s)
       if (seg_free[s] != blocks.segment_free_blocks(s))
         fail("segment ", s, ": free_blocks counter ",
              blocks.segment_free_blocks(s), " != ", seg_free[s],
-             " blocks actually on the free list");
+             " clear bits in its free-map range");
     // On a live mount, blocks carved into per-thread reservations are
     // still free space — they sit in a thread's shm reservation slot
-    // rather than on a segment list.  (Crash images never reach here with
-    // reservations: recovery invalidates them and the rebuild returns the
-    // blocks.)
+    // (set in the map) rather than clear in the map.  (Crash images never
+    // reach here with reservations: recovery invalidates them and the
+    // rebuild returns the blocks.)
     blocks.for_each_reservation([&](std::uint64_t off, std::uint64_t count) {
       claim(off, count, kOwnerReservation, "thread reservation");
       r_.free_blocks += count;
@@ -510,7 +500,7 @@ class Checker {
     for (std::uint64_t i = 0; i < owner_.size(); ++i)
       if (owner_[i] == kOwnerNone)
         fail("block ", i, " (@", data_off + i * alloc::kBlockSize,
-             ") neither in use nor on a free list (leak)");
+             ") set in the free map but owned by nothing (leak)");
   }
 
   void fill_census() {

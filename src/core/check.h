@@ -21,8 +21,10 @@
 //     superblock);
 //   * block accounting (§4.2): every block of the data area is claimed by
 //     exactly one owner — a pool segment, a file extent, a long-symlink
-//     target, or a free range — with no double claims and no leaks, and
-//     each allocator segment's free-block counter matches its list.
+//     target, the CRC table, the free-map snapshot, a thread reservation,
+//     or a clear bit of the free map — with no double claims and no leaks,
+//     and each allocator segment's free-block counter equals the number of
+//     clear bits in its range of the map.
 //
 // The checker never repairs anything; it is the oracle half of the crash
 // harness (tests/crash_harness.h), which mounts materialized crash images,

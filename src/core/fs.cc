@@ -60,6 +60,8 @@ void FileSystem::start_heartbeat_thread() {
       hb_cv_.wait_for(lk, std::chrono::nanoseconds(ns));
       if (hb_stop_) return;
       if (!registry_->heartbeat(attachment_)) registry_->reattach(attachment_);
+      if (MetaService* m = meta_beat_.load(std::memory_order_acquire))
+        m->stamp_seat();
       // Dead-peer reap, wall-clock-paced (~once per lease) so the data
       // path never walks the registry or the lock table.  Deferred until
       // the mount is fully constructed: recovery may still be running
@@ -124,15 +126,32 @@ std::unique_ptr<FileSystem> FileSystem::format(nvmm::Device& nvmm,
       alloc::BlockAllocator::format(nvmm, kBlockAllocOff, kDataAreaOff,
                                     nvmm.size() - kDataAreaOff,
                                     2 * opts.n_cores));
-  // Integrity table (layout v2): one CRC32C word per data-area block,
-  // carved from the data area itself right at format so it lands first.
+  // The shm device comes first: the free map and segment locks live there.
+  fs->locks_ = std::make_unique<FileLockTable>(FileLockTable::format(
+      shm, 0, opts.lock_table_slots,
+      alloc::free_map_words(fs->blocks_->n_blocks_total())));
+  fs->registry_ = std::make_unique<MountRegistry>(shm, 0);
+  fs->attachment_ = fs->registry_->attach_mount();
+  fs->registry_->finish_recovery(fs->attachment_);  // fresh image
+  fs->start_heartbeat_thread();
+  auto& shared = reinterpret_cast<ShmHeader*>(shm.base())->alloc_shared;
+  fs->blocks_->attach_shared_state(&shared, fs->attachment_.token);
+  fs->blocks_->rebuild_free_map(nullptr);  // every block free
+  // Permanent data-area residents, carved first as one run: the integrity
+  // table (layout v2, one CRC32C word per data-area block) and the
+  // free-map snapshot (layout v3, written by the last clean unmount).
   {
     const std::uint64_t tblocks =
         CrcTable::blocks_for(fs->blocks_->n_blocks_total());
-    auto t = fs->blocks_->alloc(tblocks, 0);
+    const std::uint64_t mblocks =
+        (alloc::free_map_words(fs->blocks_->n_blocks_total()) * 8 +
+         alloc::kBlockSize - 1) / alloc::kBlockSize;
+    auto t = fs->blocks_->alloc(tblocks + mblocks, 0);
     SIMURGH_CHECK(t.is_ok());
     sb.crc_table_off = *t;
     sb.crc_table_blocks = tblocks;
+    sb.free_map_off = *t + tblocks * alloc::kBlockSize;
+    sb.free_map_blocks = mblocks;
     nvmm::persist(&sb, sizeof(sb));
     std::memset(nvmm.at(*t), 0, tblocks * alloc::kBlockSize);
     nvmm::persist(nvmm.at(*t), tblocks * alloc::kBlockSize);
@@ -146,21 +165,12 @@ std::unique_ptr<FileSystem> FileSystem::format(nvmm::Device& nvmm,
     fs->pools_[i] = std::make_unique<alloc::ObjectAllocator>(
         alloc::ObjectAllocator::format(nvmm, *fs->blocks_, pool_header_off(i),
                                        payloads[i], per_segment[i]));
+    fs->pools_[i]->attach_shared_cache(&shared.obj_stacks[i],
+                                       fs->attachment_.token);
   }
   fs->dirops_ = std::make_unique<DirOps>(
       nvmm, DirOps::Pools{fs->pools_[kPoolFileEntry].get(),
                           fs->pools_[kPoolDirBlock].get()});
-  fs->locks_ = std::make_unique<FileLockTable>(
-      FileLockTable::format(shm, 0, opts.lock_table_slots));
-  fs->registry_ = std::make_unique<MountRegistry>(shm, 0);
-  fs->attachment_ = fs->registry_->attach_mount();
-  fs->registry_->finish_recovery(fs->attachment_);  // fresh image
-  fs->start_heartbeat_thread();
-  auto& shared = reinterpret_cast<ShmHeader*>(shm.base())->alloc_shared;
-  fs->blocks_->attach_shared_state(&shared, fs->attachment_.token);
-  for (unsigned i = 0; i < kNumPools; ++i)
-    fs->pools_[i]->attach_shared_cache(&shared.obj_stacks[i],
-                                       fs->attachment_.token);
 
   // Root directory.
   auto ino_off = fs->pools_[kPoolInode]->alloc();
@@ -216,8 +226,9 @@ std::unique_ptr<FileSystem> FileSystem::mount(nvmm::Device& nvmm,
   // The lock table is volatile shared DRAM: a fresh boot formats it anew, a
   // same-boot re-attach keeps live locks of other processes.
   if (reinterpret_cast<ShmHeader*>(shm.base())->magic != kShmMagic)
-    fs->locks_ = std::make_unique<FileLockTable>(
-        FileLockTable::format(shm, 0, 1 << 16));
+    fs->locks_ = std::make_unique<FileLockTable>(FileLockTable::format(
+        shm, 0, 1 << 16,
+        alloc::free_map_words(fs->blocks_->n_blocks_total())));
   else
     fs->locks_ =
         std::make_unique<FileLockTable>(FileLockTable::attach(shm, 0));
@@ -244,7 +255,13 @@ std::unique_ptr<FileSystem> FileSystem::mount(nvmm::Device& nvmm,
     const bool clean =
         sb.clean_shutdown.exchange(0, std::memory_order_acq_rel) == 1;
     nvmm::persist_now(sb.clean_shutdown);
-    if (!clean) fs->recover();
+    // A clean image's free-map snapshot is current; anything else rebuilds
+    // the map from reachability.
+    if (clean)
+      fs->blocks_->rebuild_free_map(reinterpret_cast<const std::uint64_t*>(
+          nvmm.at(sb.free_map_off)));
+    else
+      fs->recover();
     fs->registry_->finish_recovery(fs->attachment_);
   } else if (fs->registry_->wait_recovery_done(fs->attachment_)) {
     fs->recover();
@@ -279,9 +296,9 @@ void FileSystem::unmount() {
   // Stop heartbeating first: once the slot is released below, a stale
   // heartbeat would fail and reattach — resurrecting the mount mid-detach.
   stop_heartbeat_thread();
-  // Return this mount's unused reservation remainders to the free lists
-  // before detaching (a clean mount skips the rebuild_free_lists sweep
-  // that would otherwise reclaim them).
+  // Return this mount's unused reservation remainders to the free map
+  // before detaching (a clean mount loads the map snapshot instead of the
+  // recovery sweep that would otherwise reclaim them).
   blocks_->drain_reservations();
   registry_->detach_mount(
       attachment_,
@@ -289,8 +306,12 @@ void FileSystem::unmount() {
         // Last one out of the era — and nobody died dirty in it.
         // Straggler slots (peer threads that exited without draining) are
         // swept here; with dirty deaths the blocks stay stranded for the
-        // next recovery's rebuild instead.
+        // next recovery's rebuild instead.  Then the snapshot of the now
+        // exact free map is made durable, before the clean flag can
+        // declare it current.
         blocks_->drain_reservations(/*drain_all=*/true);
+        blocks_->save_free_map(sb().free_map_off);
+        SIMURGH_FAILPOINT("unmount.free_map_saved");
       },
       [&] {
         // Declares the shutdown clean — the registry runs this only while
@@ -474,6 +495,7 @@ Status FileSystem::enable_service_mode() {
   SIMURGH_RETURN_IF_ERROR(m->enable());
   // From here every reservation refill is arbitrated too.
   blocks_->set_carve_proxy(m.get());
+  meta_beat_.store(m.get(), std::memory_order_release);
   meta_ = std::move(m);
   return Status::ok();
 }

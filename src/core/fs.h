@@ -446,6 +446,9 @@ class FileSystem {
   // must outlive wb_ (its server thread, which calls INTO wb_, is joined
   // explicitly at the top of ~FileSystem/unmount before either dies).
   std::unique_ptr<MetaService> meta_;
+  // meta_ as the heartbeat thread reads it (stamp_seat): published once by
+  // enable_service_mode, valid until the thread is joined.
+  std::atomic<MetaService*> meta_beat_{nullptr};
   std::atomic<std::uint64_t> svc_requests_{0};
   std::atomic<std::uint64_t> svc_local_fastpath_{0};
 

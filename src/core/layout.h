@@ -3,18 +3,22 @@
 // NVMM device:
 //   [0]              Superblock (one 4 KB page): magic, geometry, the four
 //                    metadata pool headers, and the root inode pointer.
-//   [4 KB]           Block-allocator header + per-segment headers.
-//   [sb.data_off]    Block area — everything else: pool segments (inodes,
-//                    file entries, directory hash blocks, extent-spill
-//                    blocks) and file data blocks.
+//   [4 KB]           Block-allocator header (geometry only).
+//   [sb.data_off]    Block area — everything else: the CRC table and the
+//                    free-map snapshot (both reserved at format), pool
+//                    segments (inodes, file entries, directory hash
+//                    blocks, extent-spill blocks) and file data blocks.
 //
 // Shared-DRAM device (volatile, shared by all client processes):
 //   [0]              ShmHeader — magic/geometry, the mount registry
 //                    (lease-stamped attachment slots), and the shared
-//                    allocator runtime state (block reservations, free-
-//                    object rings; alloc/shm_state.h).
+//                    allocator runtime state (segment locks and free
+//                    counters, block reservations, free-object rings;
+//                    alloc/shm_state.h).
 //   [...]            Per-file reader/writer lock table (open addressing,
 //                    keyed by inode offset).
+//   [...]            The block free map: one bit per data-area block.
+//   [...]            Service ring, when service mode is enabled.
 //
 // Every cross-structure reference is an nvmm::pptr (device offset); inode
 // identity *is* the inode's offset — there are no inode numbers (§4.3).
@@ -33,17 +37,17 @@
 namespace simurgh::core {
 
 constexpr std::uint64_t kSuperblockMagic = 0x53494d5552474831ull;  // SIMURGH1
-constexpr std::uint32_t kLayoutVersion = 2;
+constexpr std::uint32_t kLayoutVersion = 3;
 
 constexpr std::uint64_t kSuperblockOff = 0;
 constexpr std::uint64_t kBlockAllocOff = 4096;
-// Block-allocator header + up to kMaxSegments segment headers fit here.
 constexpr std::uint64_t kDataAreaOff = 64 * 1024;
-constexpr unsigned kMaxSegments = 256;
-// Write-behind epoch journal: the last 4 KB page of the metadata area
-// (block-alloc header + 256 × 64 B segment headers stop well short of it).
+// Segment locks and counters live in the shm allocator block.
+constexpr unsigned kMaxSegments = alloc::kShmMaxSegments;
+// Write-behind epoch journal: the last 4 KB page of the metadata area.
 constexpr std::uint64_t kWbJournalOff = kDataAreaOff - 4096;
-static_assert(kBlockAllocOff + 4096 + kMaxSegments * 64 <= kWbJournalOff);
+static_assert(kBlockAllocOff + sizeof(alloc::BlockAllocHeader) <=
+              kWbJournalOff);
 
 // Metadata object pools (§4.2).  Pool payload sizes are chosen so strides
 // are cache-line multiples; see inode.h / dir_block.h for the structures.
@@ -75,6 +79,13 @@ struct Superblock {
   // entry of 0 means "no checksum recorded" and every verifier skips it.
   std::uint64_t crc_table_off = 0;
   std::uint64_t crc_table_blocks = 0;
+  // Block free-map snapshot (layout version 3): device offset and length
+  // (4 KB blocks) of a data-area run reserved at format.  The last-out
+  // clean unmount copies the shm free map here and persists it before it
+  // sets clean_shutdown; the next clean first-in mount loads it instead of
+  // running recovery.  Meaningless while clean_shutdown is 0.
+  std::uint64_t free_map_off = 0;
+  std::uint64_t free_map_blocks = 0;
   alloc::PoolHeader pools[kNumPools];
   nvmm::atomic_pptr<struct Inode> root;
   // Generation source for directory mutation epochs (volatile semantics,
@@ -209,10 +220,24 @@ struct CAPABILITY("mount_registry_lease") ShmHeader {
   std::atomic<std::uint64_t> dirty_deaths{0};
   std::atomic<std::uint64_t> attach_counter{0};
   MountSlot mounts[kMaxMountSlots];
-  // Cross-mount allocator state: shared block reservations + the shared
-  // free-object rings (see alloc/shm_state.h).
+  // Cross-mount allocator state: segment locks and free counters, shared
+  // block reservations, the shared free-object rings, and the offset of
+  // the block free map (see alloc/shm_state.h).
   alloc::ShmAllocShared alloc_shared;
-  // FileLock[n_locks] follows.
+  // FileLock[n_locks] follows, then the free map at the next 64-byte
+  // boundary.
 };
+
+// First shm byte past the header, the lock table and the free map that
+// FileLockTable::format places behind it (where the service ring starts).
+inline std::uint64_t shm_fixed_bytes(const ShmHeader& h) noexcept {
+  const auto* base = reinterpret_cast<const unsigned char*>(&h);
+  const auto* map =
+      reinterpret_cast<const unsigned char*>(&h.alloc_shared) +
+      h.alloc_shared.map_off;
+  const std::uint64_t end = static_cast<std::uint64_t>(map - base) +
+                            h.alloc_shared.map_words * sizeof(std::uint64_t);
+  return (end + 63) / 64 * 64;
+}
 
 }  // namespace simurgh::core

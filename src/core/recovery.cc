@@ -10,8 +10,9 @@
 //      a unique decision per object — half-freed objects (01) finish their
 //      free, reachable in-flight objects (11) are committed, unreachable
 //      allocated objects are reclaimed.
-//   4. The block allocator's per-segment free lists are rebuilt from the
-//      mark bitmap, and the volatile shared-DRAM lock table is reset.
+//   4. The block allocator's shm free map is installed straight from the
+//      mark bitmap (same layout: one bit per data block, set = in use), and
+//      the volatile shared-DRAM lock table is reset.
 #include <cstring>
 #include <unordered_map>
 #include <unordered_set>
@@ -53,11 +54,6 @@ RecoveryReport FileSystem::recover() {
   // the DRAM lookup, path and extent state wholesale so no pre-recovery
   // view can validate against whatever epochs the recycled objects start.
   drop_dram_caches();
-  // Per-thread block reservations (shm slots) reference carved-out blocks
-  // that no inode uses; forget them so the rebuild below returns those
-  // blocks to the free lists exactly once (rebuild_free_lists also does
-  // this defensively, but the intent belongs here with the other caches).
-  blocks_->invalidate_reservations();
   // Write-behind tier: staged DRAM epochs model page-cache state a crash
   // loses — discard them with accounting (the relaxed-class contract).  An
   // epoch journal left ARMED is the opposite case: its data is provably
@@ -77,11 +73,12 @@ RecoveryReport FileSystem::recover() {
   const Superblock& s = sb();
   const std::uint64_t n_blocks = blocks_->n_blocks_total();
   const std::uint64_t data_off = blocks_->data_off();
-  std::vector<bool> block_used(n_blocks, false);
+  // The mark bitmap, laid out like the allocator's free map.
+  std::vector<std::uint64_t> block_used(alloc::free_map_words(n_blocks), 0);
   auto mark_blocks = [&](std::uint64_t dev_off, std::uint64_t count) {
     const std::uint64_t first = (dev_off - data_off) / alloc::kBlockSize;
-    for (std::uint64_t i = 0; i < count && first + i < n_blocks; ++i)
-      block_used[first + i] = true;
+    for (std::uint64_t b = first; b < first + count && b < n_blocks; ++b)
+      block_used[b / 64] |= 1ull << (b % 64);
   };
 
   std::unordered_set<std::uint64_t> live_inodes, live_fentries,
@@ -220,14 +217,13 @@ RecoveryReport FileSystem::recover() {
     p->for_each_segment([&](std::uint64_t seg_off, std::uint64_t count) {
       mark_blocks(seg_off, count);
     });
-  // The integrity table is a permanent data-area resident (layout v2).
+  // The integrity table (layout v2) and the free-map snapshot (v3) are
+  // permanent data-area residents.
   if (s.crc_table_blocks != 0)
     mark_blocks(s.crc_table_off, s.crc_table_blocks);
-  blocks_->rebuild_free_lists([&](std::uint64_t dev_off) {
-    beat(16384);  // per data block
-    const std::uint64_t idx = (dev_off - data_off) / alloc::kBlockSize;
-    return idx < n_blocks && block_used[idx];
-  });
+  if (s.free_map_blocks != 0)
+    mark_blocks(s.free_map_off, s.free_map_blocks);
+  blocks_->rebuild_free_map(block_used.data());
 
   // Peer mounts must drop their DRAM caches too: the sweep above recycles
   // objects without the per-directory / per-file epoch retirement those

@@ -33,8 +33,12 @@ struct FileLockStats {
 
 class FileLockTable {
  public:
+  // Formats the whole shm header at `off`: registry, allocator block and
+  // `n_locks` lock slots, with room for a block free map of `map_words`
+  // words right behind the lock table (the allocator fills it).
   static FileLockTable format(nvmm::Device& shm, std::uint64_t off,
-                              std::uint64_t n_locks);
+                              std::uint64_t n_locks,
+                              std::uint64_t map_words = 0);
   static FileLockTable attach(nvmm::Device& shm, std::uint64_t off);
 
   // Finds (or claims) the lock slot for `inode_off`.

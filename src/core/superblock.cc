@@ -13,10 +13,12 @@ constexpr std::uint32_t kWriterBit = 0x8000'0000u;
 }  // namespace
 
 FileLockTable FileLockTable::format(nvmm::Device& shm, std::uint64_t off,
-                                    std::uint64_t n_locks) {
+                                    std::uint64_t n_locks,
+                                    std::uint64_t map_words) {
   SIMURGH_CHECK((n_locks & (n_locks - 1)) == 0);  // power of two
-  SIMURGH_CHECK(shm.size() >= off + sizeof(ShmHeader) +
-                                  n_locks * sizeof(FileLock));
+  const std::uint64_t map_at =
+      (off + sizeof(ShmHeader) + n_locks * sizeof(FileLock) + 63) / 64 * 64;
+  SIMURGH_CHECK(shm.size() >= map_at + map_words * sizeof(std::uint64_t));
   FileLockTable t(shm, off);
   ShmHeader& h = t.header();
   h.n_locks = n_locks;
@@ -30,7 +32,12 @@ FileLockTable FileLockTable::format(nvmm::Device& shm, std::uint64_t off,
     m.heartbeat_ns.store(0, std::memory_order_relaxed);
     m.attach_gen.store(0, std::memory_order_relaxed);
   }
-  h.alloc_shared.reset();
+  h.alloc_shared.reset(
+      map_at - off -
+          static_cast<std::uint64_t>(
+              reinterpret_cast<unsigned char*>(&h.alloc_shared) -
+              reinterpret_cast<unsigned char*>(&h)),
+      map_words);
   FileLock* ls = t.locks();
   for (std::uint64_t i = 0; i < n_locks; ++i) new (&ls[i]) FileLock();
   // Magic last: a concurrently attaching process treats the region as

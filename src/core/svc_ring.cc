@@ -16,9 +16,8 @@ namespace simurgh::core {
 using common::lease_now_ns;
 
 std::uint64_t MetaService::ring_offset(nvmm::Device& shm) {
-  const auto& h = *reinterpret_cast<const ShmHeader*>(shm.base());
   const std::uint64_t off =
-      (sizeof(ShmHeader) + h.n_locks * sizeof(FileLock) + 63) / 64 * 64;
+      shm_fixed_bytes(*reinterpret_cast<const ShmHeader*>(shm.base()));
   // At least the header and one slot must fit.
   if (off + sizeof(SvcRingHeader) + sizeof(SvcSlot) > shm.size()) return 0;
   return off;
@@ -146,13 +145,25 @@ void MetaService::takeover_scan() {
 void MetaService::start_server() {
   if (server_.joinable()) return;
   stop_.store(false, std::memory_order_release);
-  server_ = std::thread([this] { server_main(); });
+  serving_.store(true, std::memory_order_release);
+  server_ = std::thread([this] {
+    server_main();
+    serving_.store(false, std::memory_order_release);
+  });
+}
+
+void MetaService::stamp_seat() {
+  if (serving_.load(std::memory_order_acquire) &&
+      hdr_->owner_token.load(std::memory_order_acquire) == token_)
+    hdr_->owner_stamp_ns.store(lease_now_ns(), std::memory_order_release);
 }
 
 void MetaService::server_main() {
   while (!stop_.load(std::memory_order_acquire)) {
     // Refresh the seat lease; stand down if a peer stole it (our lease
-    // expired — e.g. this process was stopped under a debugger).
+    // expired — e.g. this process was stopped under a debugger).  A long
+    // dispatch stops these stamps; the mount's heartbeat thread keeps the
+    // seat stamped meanwhile (stamp_seat).
     if (hdr_->owner_token.load(std::memory_order_acquire) != token_) return;
     hdr_->owner_stamp_ns.store(lease_now_ns(), std::memory_order_release);
     bool did = false;

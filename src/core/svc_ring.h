@@ -9,8 +9,8 @@
 // trusted arbiter owns metadata, clients keep the direct data path.
 //
 // Transport: a fixed-slot request/response ring in the shared-DRAM device,
-// placed right after the file-lock table (SvcRing::ring_offset).  Each slot
-// is one cache-line-aligned mailbox:
+// placed right after the file-lock table and the block free map
+// (SvcRing::ring_offset).  Each slot is one cache-line-aligned mailbox:
 //
 //   phase   kFree -> kClaimed (client CAS) -> kPosted (payload ready)
 //              -> kExecuting (server CAS)  -> kDone (response ready)
@@ -156,7 +156,7 @@ class MetaService : public alloc::CarveProxy {
   MetaService& operator=(const MetaService&) = delete;
 
   // Ring placement in the shm device: first 64-byte boundary past the
-  // file-lock table.  Returns 0 when the device cannot hold header + slots.
+  // file-lock table and the free map.  Returns 0 when the device cannot hold header + slots.
   static std::uint64_t ring_offset(nvmm::Device& shm);
 
   // Attaches to (initializing if first) the ring, mints the attach
@@ -186,6 +186,12 @@ class MetaService : public alloc::CarveProxy {
   // crash anyway).
   Result<std::uint64_t> carve(std::uint64_t n_blocks,
                               std::uint64_t hint) override;
+
+  // Refreshes the owner seat's lease stamp while this mount's server thread
+  // is alive (called by the mount's heartbeat thread): a dispatch slower
+  // than the owner lease must not read as a dead owner.  A server that
+  // exited — stopped, stood down or crashed — is no longer vouched for.
+  void stamp_seat();
 
   [[nodiscard]] std::uint64_t served() const noexcept {
     return served_.load(std::memory_order_relaxed);
@@ -237,6 +243,8 @@ class MetaService : public alloc::CarveProxy {
   std::thread server_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> server_crashed_{false};
+  // Set before the server thread starts, cleared as it exits (stamp_seat).
+  std::atomic<bool> serving_{false};
   // Set (and never cleared) by begin_shutdown before the server joins, so
   // carve() and request() refuse with busy instead of touching a ring the
   // destructor is abandoning.

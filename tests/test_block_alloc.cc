@@ -1,8 +1,8 @@
 // Tests for the segmented block allocator (§4.2).
 //
-// Every allocator here runs with a ShmAllocShared attached under a nonzero
-// mount token — the configuration a mounted file system runs — so small
-// requests go through the shm reservation slots.
+// Every allocator here runs with a ShmAllocShared (and its free map)
+// attached under a nonzero mount token — the configuration a mounted file
+// system runs — so small requests go through the shm reservation slots.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,20 +16,13 @@
 #include "alloc/block_alloc.h"
 #include "common/lease.h"
 #include "common/rng.h"
+#include "heap_shm_alloc.h"
 
 namespace simurgh::alloc {
 namespace {
 
 constexpr std::uint64_t kMountA = 0x1001;
 constexpr std::uint64_t kMountB = 0x2003;
-
-// Stands in for the shm device's allocator block: zeroed, then reset so
-// it carries a fresh epoch like a newly formatted shm header.
-std::unique_ptr<ShmAllocShared> make_shared_state() {
-  auto shared = std::make_unique<ShmAllocShared>();
-  shared->reset();
-  return shared;
-}
 
 class BlockAllocTest : public ::testing::Test {
  protected:
@@ -38,10 +31,10 @@ class BlockAllocTest : public ::testing::Test {
 
   BlockAllocTest()
       : dev_(64ull << 20),
-        shared_(make_shared_state()),
         alloc_(BlockAllocator::format(dev_, kHeaderOff, kDataOff,
-                                      dev_.size() - kDataOff, 8)) {
-    alloc_.attach_shared_state(shared_.get(), kMountA);
+                                      dev_.size() - kDataOff, 8)),
+        shared_(make_heap_shm_alloc(alloc_.n_blocks_total())) {
+    attach_fresh(alloc_, shared_.get(), kMountA);
   }
 
   // A second mount's view of the same allocator and shm state.
@@ -51,11 +44,23 @@ class BlockAllocTest : public ::testing::Test {
     return b;
   }
 
-  // Segment headers start at the first cache line past the allocator
-  // header (block_alloc.h segments()).
-  SegmentHeader* segments() {
-    return reinterpret_cast<SegmentHeader*>(
-        dev_.at((kHeaderOff + sizeof(BlockAllocHeader) + 63) / 64 * 64));
+  // The segment locks and counters live in the shm allocator block.
+  ShmSegment* segments() { return shared_->segments; }
+
+  // A mark bitmap in the free map's layout (bit set = block in use).
+  std::vector<std::uint64_t> used_map(bool all_used) const {
+    return std::vector<std::uint64_t>(
+        free_map_words(alloc_.n_blocks_total()), all_used ? ~0ull : 0);
+  }
+  static void set_used(std::vector<std::uint64_t>& m, std::uint64_t b,
+                       bool used) {
+    if (used)
+      m[b / 64] |= 1ull << (b % 64);
+    else
+      m[b / 64] &= ~(1ull << (b % 64));
+  }
+  std::uint64_t block_of(std::uint64_t off) const {
+    return (off - kDataOff) / kBlockSize;
   }
 
   // Unused blocks parked in the slots of `mount_token`.
@@ -67,8 +72,8 @@ class BlockAllocTest : public ::testing::Test {
   }
 
   nvmm::Device dev_;
-  std::unique_ptr<ShmAllocShared> shared_;
   BlockAllocator alloc_;
+  HeapShmAlloc shared_;
 };
 
 TEST_F(BlockAllocTest, FormatExposesAllBlocks) {
@@ -136,8 +141,8 @@ TEST_F(BlockAllocTest, ExhaustionReturnsNoSpace) {
   nvmm::Device small(1 << 20);
   auto a = BlockAllocator::format(small, 4096, 64 * 1024,
                                   small.size() - 64 * 1024, 2);
-  auto shared = make_shared_state();
-  a.attach_shared_state(shared.get(), kMountA);
+  auto shared = make_heap_shm_alloc(a.n_blocks_total());
+  attach_fresh(a, shared.get(), kMountA);
   // Free space is split across two segments; drain each segment's
   // contiguous range, then any further request must fail.
   const std::uint64_t total = a.free_blocks();
@@ -200,14 +205,10 @@ TEST_F(BlockAllocTest, LeaseStealRecoversCrashedHolder) {
   // Simulate a crashed process holding a segment lock: poke the lock word
   // directly, then verify a short lease lets another caller steal it.
   alloc_.set_lease_ns(1'000'000);  // 1 ms
-  auto* hdr = reinterpret_cast<BlockAllocHeader*>(dev_.at(kHeaderOff));
-  // Segment headers start at the first cache line past the allocator
-  // header (block_alloc.h segments()).
-  auto* segs = reinterpret_cast<SegmentHeader*>(dev_.at(
-      (kHeaderOff + sizeof(BlockAllocHeader) + 63) / 64 * 64));
-  for (std::uint64_t s = 0; s < hdr->n_segments; ++s) {
-    segs[s].lock.owner.store(0xdeadbeef, std::memory_order_relaxed);
-    segs[s].lock.last_accessed_ns.store(1, std::memory_order_relaxed);
+  ShmSegment* segs = segments();
+  for (std::uint64_t s = 0; s < alloc_.n_segments(); ++s) {
+    segs[s].owner.store(0xdeadbeef, std::memory_order_relaxed);
+    segs[s].last_accessed_ns.store(1, std::memory_order_relaxed);
   }
   auto r = alloc_.alloc(1, 0);  // must steal rather than hang
   EXPECT_TRUE(r.is_ok());
@@ -221,21 +222,21 @@ TEST_F(BlockAllocTest, LeaseSegmentLockWaitsOutLiveHolderWithZeroStamp) {
   constexpr std::uint64_t kLease = 200'000'000;  // 200 ms
   constexpr std::uint64_t kLive = 0x5eed;
   alloc_.set_lease_ns(kLease);
-  SegmentHeader* segs = segments();
+  ShmSegment* segs = segments();
   const std::uint64_t n = alloc_.n_segments();
   for (std::uint64_t s = 0; s < n; ++s) {
-    segs[s].lock.owner.store(kLive, std::memory_order_relaxed);
-    segs[s].lock.last_accessed_ns.store(0, std::memory_order_relaxed);
+    segs[s].owner.store(kLive, std::memory_order_relaxed);
+    segs[s].last_accessed_ns.store(0, std::memory_order_relaxed);
   }
   std::thread holder([&] {
     std::this_thread::sleep_for(std::chrono::nanoseconds(kLease / 4));
     for (std::uint64_t s = 0; s < n; ++s)
-      segs[s].lock.last_accessed_ns.store(common::lease_now_ns(),
+      segs[s].last_accessed_ns.store(common::lease_now_ns(),
                                           std::memory_order_relaxed);
     std::this_thread::sleep_for(std::chrono::nanoseconds(kLease / 2));
     for (std::uint64_t s = 0; s < n; ++s) {
       std::uint64_t mine = kLive;
-      segs[s].lock.owner.compare_exchange_strong(mine, 0);
+      segs[s].owner.compare_exchange_strong(mine, 0);
     }
   });
   EXPECT_TRUE(alloc_.alloc(1, 0).is_ok());
@@ -248,21 +249,21 @@ TEST_F(BlockAllocTest, LeaseSegmentLockWaitsOutLiveHolderWithZeroStamp) {
 // loses it after one lease.
 TEST_F(BlockAllocTest, LeaseReapSparesLiveHolderWithStaleStamp) {
   alloc_.set_lease_ns(20'000'000);  // 20 ms
-  SegmentHeader* segs = segments();
+  ShmSegment* segs = segments();
   for (unsigned s : {0u, 1u}) {
-    segs[s].lock.owner.store(0x5eed + s, std::memory_order_relaxed);
-    segs[s].lock.last_accessed_ns.store(1, std::memory_order_relaxed);
+    segs[s].owner.store(0x5eed + s, std::memory_order_relaxed);
+    segs[s].last_accessed_ns.store(1, std::memory_order_relaxed);
   }
   EXPECT_EQ(alloc_.reap_expired_segment_locks(), 0u);
-  EXPECT_EQ(segs[0].lock.owner.load(), 0x5eedu);
+  EXPECT_EQ(segs[0].owner.load(), 0x5eedu);
   // Segment 0's holder is alive and stamps; segment 1's stays silent.
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  segs[0].lock.last_accessed_ns.store(common::lease_now_ns(),
+  segs[0].last_accessed_ns.store(common::lease_now_ns(),
                                       std::memory_order_relaxed);
   std::this_thread::sleep_for(std::chrono::milliseconds(15));
   EXPECT_EQ(alloc_.reap_expired_segment_locks(), 1u);
-  EXPECT_EQ(segs[0].lock.owner.load(), 0x5eedu);
-  EXPECT_EQ(segs[1].lock.owner.load(), 0u);
+  EXPECT_EQ(segs[0].owner.load(), 0x5eedu);
+  EXPECT_EQ(segs[1].owner.load(), 0u);
   EXPECT_EQ(alloc_.stats().lock_steals.load(), 1u);
 }
 
@@ -271,12 +272,23 @@ TEST_F(BlockAllocTest, RebuildFreeListsFromMark) {
   auto lose = alloc_.alloc(4, 0);
   ASSERT_TRUE(keep.is_ok());
   ASSERT_TRUE(lose.is_ok());
-  alloc_.rebuild_free_lists([&](std::uint64_t off) {
-    return off >= *keep && off < *keep + 4 * kBlockSize;
-  });
+  // Recovery's mark bitmap: only `keep` is reachable.
+  std::vector<std::uint64_t> used = used_map(false);
+  for (std::uint64_t b = 0; b < 4; ++b) set_used(used, block_of(*keep) + b, true);
+  alloc_.rebuild_free_map(used.data());
   EXPECT_EQ(alloc_.free_blocks(), alloc_.n_blocks_total() - 4);
+  EXPECT_EQ(alloc_.reserved_unused_blocks(), 0u);
+  // Every segment's counter matches the clear bits the map holds.
+  std::vector<std::uint64_t> seen(alloc_.n_segments(), 0);
+  alloc_.for_each_free_run([&](unsigned s, std::uint64_t off,
+                               std::uint64_t n) {
+    seen[s] += n;
+    EXPECT_FALSE(off < *keep + 4 * kBlockSize && *keep < off + n * kBlockSize)
+        << "reachable block reported free";
+  });
+  for (unsigned s = 0; s < alloc_.n_segments(); ++s)
+    EXPECT_EQ(seen[s], alloc_.segment_free_blocks(s)) << "segment " << s;
   // The "lost" range must be allocatable again.
-  std::set<std::uint64_t> seen;
   bool found = false;
   for (std::uint64_t i = 0; i < alloc_.n_blocks_total() - 4; i += 4) {
     auto r = alloc_.alloc(4, 0);
@@ -287,6 +299,75 @@ TEST_F(BlockAllocTest, RebuildFreeListsFromMark) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+// A segment fragmented into a checkerboard holds no 64-block run except
+// the one aligned word left wholly free: a 64-block request gets exactly
+// that word, the next one no_space, and 1-block requests still succeed.
+TEST_F(BlockAllocTest, CheckerboardSegmentServesOnlyTheAlignedRun) {
+  std::vector<std::uint64_t> used = used_map(false);
+  for (std::uint64_t b = 0; b < alloc_.n_blocks_total(); b += 2)
+    set_used(used, b, true);
+  const std::uint64_t run_word = free_map_words(alloc_.n_blocks_total()) / 2;
+  used[run_word] = 0;
+  set_used(used, run_word * 64 - 1, true);  // the hole abutting it
+  alloc_.rebuild_free_map(used.data());
+  const std::uint64_t free_before = alloc_.free_blocks();
+
+  auto big = alloc_.alloc(64, 0);
+  ASSERT_TRUE(big.is_ok());
+  EXPECT_EQ(*big, kDataOff + run_word * 64 * kBlockSize);
+  EXPECT_EQ(alloc_.alloc(64, 0).code(), Errc::no_space);
+  for (const std::uint64_t hint : {std::uint64_t{0}, 5 * kBlockSize})
+    EXPECT_EQ(alloc_.alloc(2, hint).code(), Errc::no_space);
+
+  // A 1-block request refills its reservation with the first single hole
+  // it meets (no 64-block run is left to carve) and is served from it.
+  auto one = alloc_.alloc(1, 0);
+  ASSERT_TRUE(one.is_ok());
+  EXPECT_EQ(block_of(*one) % 2, 1u) << "not a checkerboard hole";
+  EXPECT_EQ(alloc_.reserved_unused_blocks(), 0u);
+  EXPECT_EQ(alloc_.free_blocks(), free_before - 65);
+  alloc_.free(*big, 64);
+  alloc_.free(*one, 1);
+  EXPECT_EQ(alloc_.free_blocks(), free_before);
+}
+
+// A refill that finds no whole chunk takes the first run that fits the
+// request, up to a chunk, in one walk: a 3-block hole serves a 2-block
+// request and parks the third block in the reservation.
+TEST_F(BlockAllocTest, RefillTakesFirstFittingRunWhenNoChunkIsLeft) {
+  std::vector<std::uint64_t> used = used_map(true);
+  const std::uint64_t hole = 1000;
+  for (std::uint64_t b = hole; b < hole + 3; ++b) set_used(used, b, false);
+  set_used(used, 3000, false);  // a lone block: too short for 2
+  alloc_.rebuild_free_map(used.data());
+  ASSERT_EQ(alloc_.free_blocks(), 4u);
+  auto r = alloc_.alloc(2, 0);
+  ASSERT_TRUE(r.is_ok());
+  EXPECT_EQ(block_of(*r), hole);
+  EXPECT_EQ(alloc_.reserved_unused_blocks(), 1u);
+  auto next = alloc_.alloc(1, 0);  // served from the reservation
+  ASSERT_TRUE(next.is_ok());
+  EXPECT_EQ(block_of(*next), hole + 2);
+  EXPECT_EQ(alloc_.free_blocks(), 1u);
+}
+
+// A holder that dies between flipping bits and moving the counter leaves
+// them out of step; the lease thief recounts the segment from its bits.
+TEST_F(BlockAllocTest, LeaseThiefRecountsSegmentCounter) {
+  std::vector<std::uint64_t> used = used_map(false);
+  set_used(used, 0, true);
+  alloc_.rebuild_free_map(used.data());
+  const std::uint64_t truth = alloc_.segment_free_blocks(0);
+  alloc_.set_lease_ns(1'000'000);  // 1 ms
+  ShmSegment& seg = segments()[0];
+  seg.free_blocks.store(truth + 12345, std::memory_order_relaxed);
+  seg.owner.store(0xdeadbeef, std::memory_order_relaxed);
+  seg.last_accessed_ns.store(1, std::memory_order_relaxed);
+  alloc_.free(kDataOff, 1);  // block 0 belongs to segment 0
+  EXPECT_GE(alloc_.stats().lock_steals.load(), 1u);
+  EXPECT_EQ(alloc_.segment_free_blocks(0), truth + 1);
 }
 
 // ---- per-thread shm reservations (data-path fast lane) ----
@@ -306,7 +387,7 @@ TEST_F(BlockAllocTest, ReservationsKeepFreeAccountingExact) {
   alloc_.free(*a, 1);
   alloc_.free(*b, 2);
   EXPECT_EQ(alloc_.free_blocks(), total);
-  // Draining folds the remainder back into the persistent lists.
+  // Draining folds the remainder back into the free map.
   alloc_.drain_reservations();
   EXPECT_EQ(alloc_.reserved_unused_blocks(), 0u);
   EXPECT_EQ(alloc_.free_blocks(), total);
@@ -315,8 +396,7 @@ TEST_F(BlockAllocTest, ReservationsKeepFreeAccountingExact) {
 TEST_F(BlockAllocTest, ReservationServesAscendingContiguousBlocks) {
   // Consecutive 1-block allocs from one thread must be device-contiguous
   // and ascending — that is the whole point (appends merge into one
-  // extent) and the opposite of the descending tail-carve of the direct
-  // path.
+  // extent).
   auto first = alloc_.alloc(1, 0);
   ASSERT_TRUE(first.is_ok());
   std::uint64_t prev = *first;
@@ -344,10 +424,10 @@ TEST_F(BlockAllocTest, InvalidateAndRebuildReclaimsReservedBlocks) {
   ASSERT_TRUE(a.is_ok());
   ASSERT_GT(alloc_.reserved_unused_blocks(), 0u);
   // Crash: the volatile reservation is forgotten; recovery's sweep sees
-  // only the one block actually referenced and rebuilds the lists around
-  // it.
-  alloc_.rebuild_free_lists(
-      [&](std::uint64_t off) { return off == *a; });
+  // only the one block actually referenced and rebuilds the map around it.
+  std::vector<std::uint64_t> used = used_map(false);
+  set_used(used, block_of(*a), true);
+  alloc_.rebuild_free_map(used.data());
   EXPECT_EQ(alloc_.reserved_unused_blocks(), 0u);
   EXPECT_EQ(alloc_.free_blocks(), alloc_.n_blocks_total() - 1);
 }
@@ -361,7 +441,7 @@ TEST_F(BlockAllocTest, ExitedThreadsReservationIsAdoptedOrDrained) {
   });
   t.join();
   // The exited thread's slot still holds its remainder under this mount's
-  // token (counted free), and the mount's drain returns it to the lists.
+  // token (counted free), and the mount's drain returns it to the map.
   EXPECT_EQ(alloc_.free_blocks(), total);
   EXPECT_GT(alloc_.reserved_unused_blocks(), 0u);
   alloc_.drain_reservations();

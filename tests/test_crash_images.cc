@@ -174,12 +174,13 @@ TEST(CrashImages, MultiBlockAppendIsCrashAtomic) {
 
 TEST(CrashImages, StrandedReservationLeaksNoBlocks) {
   // The first allocating append carves a whole reservation chunk out of
-  // the persistent free list under one segment lock; only one block of it
-  // is referenced by the inode.  A crash anywhere after the carve strands
-  // the remainder — referenced by nothing, owned by no free list.  Every
-  // materialized image runs recovery (rebuild_free_lists) and then fsck,
-  // whose block-coverage pass reports any unowned block as a leak; a clean
-  // explore() is the proof that stranded reservations are reclaimed.
+  // the shm free map under one segment lock; only one block of it is
+  // referenced by the inode.  A crash anywhere after the carve strands the
+  // remainder — referenced by nothing, and the map dies with the shm
+  // device.  Every materialized image runs recovery (rebuild_free_map) and
+  // then fsck, whose block-coverage pass reports any unowned block as a
+  // leak; a clean explore() is the proof that stranded reservations are
+  // reclaimed.
   CrashHarness h;
   h.setup([](core::Process& p) {
     ASSERT_TRUE(p.mkdir("/d").is_ok());
@@ -354,8 +355,7 @@ TEST_F(FsckCorruptionTest, DetectsCrossLinkedBlock) {
   bool doubly = false, leaked = false;
   for (const std::string& e : r.errors) {
     doubly |= e.find("claimed by both") != std::string::npos;
-    leaked |= e.find("neither in use nor on a free list") !=
-              std::string::npos;
+    leaked |= e.find("owned by nothing (leak)") != std::string::npos;
   }
   EXPECT_TRUE(doubly) << r.summary();
   EXPECT_TRUE(leaked) << r.summary();

@@ -7,6 +7,7 @@
 
 #include "alloc/obj_alloc.h"
 #include "core/dir_block.h"
+#include "heap_shm_alloc.h"
 
 namespace simurgh::core {
 namespace {
@@ -15,7 +16,8 @@ class DirBlockTest : public ::testing::Test {
  protected:
   DirBlockTest()
       : dev_(128ull << 20),
-        shared_(std::make_unique<alloc::ShmAllocShared>()),
+        shared_(alloc::make_heap_shm_alloc((dev_.size() - 64 * 1024) /
+                                           alloc::kBlockSize)),
         blocks_(alloc::BlockAllocator::format(dev_, 4096, 64 * 1024,
                                               dev_.size() - 64 * 1024, 8)),
         fentries_(alloc::ObjectAllocator::format(dev_, blocks_, 8192,
@@ -26,8 +28,7 @@ class DirBlockTest : public ::testing::Test {
                                                kInodePayload, 512)),
         ops_(dev_, DirOps::Pools{&fentries_, &dirblocks_}) {
     // The allocators' volatile state lives in shm, as under a mount.
-    shared_->reset();
-    blocks_.attach_shared_state(shared_.get(), kMountToken);
+    alloc::attach_fresh(blocks_, shared_.get(), kMountToken);
     fentries_.attach_shared_cache(&shared_->obj_stacks[0], kMountToken);
     dirblocks_.attach_shared_cache(&shared_->obj_stacks[1], kMountToken);
     inodes_.attach_shared_cache(&shared_->obj_stacks[2], kMountToken);
@@ -57,7 +58,7 @@ class DirBlockTest : public ::testing::Test {
   static constexpr std::uint64_t kMountToken = 0x1001;
 
   nvmm::Device dev_;
-  std::unique_ptr<alloc::ShmAllocShared> shared_;
+  alloc::HeapShmAlloc shared_;
   alloc::BlockAllocator blocks_;
   alloc::ObjectAllocator fentries_;
   alloc::ObjectAllocator dirblocks_;

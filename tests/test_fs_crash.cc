@@ -254,12 +254,12 @@ namespace {
 // ---- block-allocator crash points reached through the FS ----
 
 TEST_F(FsCrashTest, CrashDuringBlockSplitLosesNoSpace) {
-  // Die between carving a free range and returning it: the blocks are
-  // neither in the free list (range already shrunk) nor reachable from any
-  // inode — full recovery's sweep must return them.
+  // Die inside the segment critical section, between claiming a run in the
+  // free map and returning it: the blocks are neither free in the map nor
+  // reachable from any inode — full recovery's sweep must return them.
   auto fd = p().open("/bs", kOpenCreate | kOpenWrite);
   ASSERT_TRUE(fd.is_ok());
-  crash_during("blockalloc.split",
+  crash_during("blockalloc.claim",
                [&] { (void)p().pwrite(*fd, "x", 1, 0); });
   remount_after_crash();
   const std::uint64_t free_after = fs_->blocks().free_blocks();

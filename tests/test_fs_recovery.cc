@@ -1,4 +1,7 @@
 // Full-system recovery (§5.5): mark-and-sweep correctness and idempotence.
+#include <set>
+#include <vector>
+
 #include "common/failpoint.h"
 #include "fs_fixture.h"
 
@@ -94,6 +97,71 @@ TEST_F(FsRecoveryTest, FreeSpaceIsRestoredExactly) {
     ASSERT_TRUE(p().unlink("/tmp" + std::to_string(i)).is_ok());
   remount_after_crash();
   EXPECT_EQ(fs_->blocks().free_blocks(), free0);
+}
+
+// Every free block of a quiescent mount: clear in the free map or parked
+// in a thread reservation.
+std::set<std::uint64_t> free_block_set(core::FileSystem& fs) {
+  std::set<std::uint64_t> out;
+  auto add = [&](std::uint64_t off, std::uint64_t n) {
+    for (std::uint64_t b = 0; b < n; ++b) out.insert(off + b * alloc::kBlockSize);
+  };
+  fs.blocks().for_each_free_run(
+      [&](unsigned, std::uint64_t off, std::uint64_t n) { add(off, n); });
+  fs.blocks().for_each_reservation(add);
+  return out;
+}
+
+// Files of mixed sizes, every other one deleted: a fragmented free map.
+void fragment_free_space(core::Process& p) {
+  for (int i = 0; i < 40; ++i) {
+    auto fd = p.open("/frag" + std::to_string(i), kOpenCreate | kOpenWrite);
+    ASSERT_TRUE(fd.is_ok());
+    const std::vector<char> data(static_cast<std::size_t>(i % 7 + 1) * 5000,
+                                 'f');
+    ASSERT_TRUE(p.pwrite(*fd, data.data(), data.size(), 0).is_ok());
+    ASSERT_TRUE(p.close(*fd).is_ok());
+  }
+  for (int i = 0; i < 40; i += 2)
+    ASSERT_TRUE(p.unlink("/frag" + std::to_string(i)).is_ok());
+}
+
+TEST_F(FsRecoveryTest, CleanRemountLoadsFreeMapSnapshotExactly) {
+  // The shm free map dies with the shm device; a clean unmount leaves a
+  // snapshot in NVMM, and the next mount must reproduce the exact free set
+  // from it without running recovery.
+  fragment_free_space(p());
+  const std::set<std::uint64_t> before = free_block_set(*fs_);
+  ASSERT_FALSE(before.empty());
+  fs_->unmount();
+  proc_.reset();
+  fs_.reset();
+  shm_->wipe();
+  fs_ = core::FileSystem::mount(*nvmm_, *shm_);
+  proc_ = fs_->open_process(1000, 1000);
+  EXPECT_EQ(fs_->last_recovery().directories, 0u) << "recovery ran";
+  EXPECT_EQ(free_block_set(*fs_), before);
+  EXPECT_EQ(fs_->blocks().free_blocks(), before.size());
+  const core::CheckReport cr = core::check_fs(*fs_);
+  EXPECT_TRUE(cr.ok()) << cr.summary();
+}
+
+TEST_F(FsRecoveryTest, CrashAfterFreeMapSnapshotBeforeCleanFlagRecovers) {
+  // The snapshot is durable but the clean flag never landed: the image is
+  // unclean, so the next mount ignores the snapshot and recovers fully.
+  fragment_free_space(p());
+  const std::set<std::uint64_t> before = free_block_set(*fs_);
+  FailPoint::arm("unmount.free_map_saved");
+  EXPECT_THROW(fs_->unmount(), CrashedException);
+  FailPoint::disarm();
+  EXPECT_EQ(fs_->sb().clean_shutdown.load(), 0u);
+  remount_after_crash();
+  EXPECT_GE(fs_->last_recovery().directories, 1u);
+  EXPECT_EQ(free_block_set(*fs_), before);
+  const core::CheckReport cr = core::check_fs(*fs_);
+  EXPECT_TRUE(cr.ok()) << cr.summary();
+  EXPECT_TRUE(p().stat("/frag1").is_ok());
+  EXPECT_EQ(p().stat("/frag0").code(), Errc::not_found);
 }
 
 TEST_F(FsRecoveryTest, DeepTreeSurvives) {

@@ -66,7 +66,7 @@ TEST(LeaseLockTest, DirLineLockStealsFromSilentHolderAfterOneLease) {
 
 TEST(LeaseLockTest, ShmReservationSlotWaitsOutLiveHolderWithZeroStamp) {
   auto shared = std::make_unique<alloc::ShmAllocShared>();
-  shared->reset();
+  shared->reset(sizeof(alloc::ShmAllocShared), 0);  // reservations only
   alloc::ShmReservation& slot = shared->reservations[0];
   slot.lock.store(kLiveToken, std::memory_order_relaxed);
   std::atomic<bool> released_own{false};

@@ -15,6 +15,7 @@
 #include "alloc/obj_alloc.h"
 #include "common/failpoint.h"
 #include "common/rng.h"
+#include "heap_shm_alloc.h"
 
 namespace simurgh::alloc {
 namespace {
@@ -27,12 +28,11 @@ class ObjAllocTest : public ::testing::Test {
  protected:
   ObjAllocTest()
       : dev_(64ull << 20),
-        shared_(std::make_unique<ShmAllocShared>()),
+        shared_(make_heap_shm_alloc((dev_.size() - 64 * 1024) / kBlockSize)),
         blocks_(BlockAllocator::format(dev_, 4096, 64 * 1024,
                                        dev_.size() - 64 * 1024, 4)),
         pool_(ObjectAllocator::format(dev_, blocks_, kPoolOff, 120, 64)) {
-    shared_->reset();  // fresh stack epoch, as a newly formatted shm header
-    blocks_.attach_shared_state(shared_.get(), kMountA);
+    attach_fresh(blocks_, shared_.get(), kMountA);
     pool_.attach_shared_cache(&shared_->obj_stacks[0], kMountA);
   }
 
@@ -44,7 +44,7 @@ class ObjAllocTest : public ::testing::Test {
   }
 
   nvmm::Device dev_;
-  std::unique_ptr<ShmAllocShared> shared_;
+  HeapShmAlloc shared_;
   BlockAllocator blocks_;
   ObjectAllocator pool_;
 };

@@ -19,6 +19,7 @@
 #include "alloc/obj_alloc.h"
 #include "core/fs.h"
 #include "fs_fixture.h"
+#include "heap_shm_alloc.h"
 #include "nvmm/shadow.h"
 
 namespace simurgh::testing {
@@ -95,16 +96,14 @@ TEST_F(FsTest, FreshBlockZeroFillIsDurable) {
 TEST(PersistDisciplinePool, GrowFlushesZeroedObjectHeaders) {
   nvmm::Device dev(16ull << 20);
   // Recycled-media model: the data area durably holds a dead owner's bytes.
-  // Dirty it *before* format — the free-range nodes live inside the free
-  // blocks themselves, so format must write them over the garbage — and
-  // before the log snapshots, so the garbage IS the durable baseline.
+  // Dirty it before the log snapshots, so the garbage IS the durable
+  // baseline.
   std::memset(dev.base() + 64 * 1024, 0xab, dev.size() - 64 * 1024);
   auto blocks = alloc::BlockAllocator::format(dev, 4096, 64 * 1024,
                                               dev.size() - 64 * 1024, 1);
   auto pool = alloc::ObjectAllocator::format(dev, blocks, 8192, 120, 64);
-  auto shared = std::make_unique<alloc::ShmAllocShared>();
-  shared->reset();
-  blocks.attach_shared_state(shared.get(), 0x1001);
+  auto shared = alloc::make_heap_shm_alloc(blocks.n_blocks_total());
+  alloc::attach_fresh(blocks, shared.get(), 0x1001);
   pool.attach_shared_cache(&shared->obj_stacks[0], 0x1001);
   nvmm::ShadowLog log(dev);
   log.start();
