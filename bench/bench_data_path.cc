@@ -252,21 +252,14 @@ int main() {
   double base_append = std::nan(""), base_lines = std::nan("");
   double base_mt_last = std::nan("");
   bool have_baseline = false;
-  std::string baseline_json;
   if (const char* bp = std::getenv("SIMURGH_BENCH_BASELINE_JSON")) {
-    if (std::FILE* f = std::fopen(bp, "r")) {
-      char chunk[4096];
-      std::size_t got;
-      while ((got = std::fread(chunk, 1, sizeof chunk, f)) > 0)
-        baseline_json.append(chunk, got);
-      std::fclose(f);
-      base_append = json_number(baseline_json, "append1_ns_per_op");
-      base_lines = json_number(baseline_json, "append1_lines_per_op");
-      const std::string mt_key =
-          "append_mt_" + std::to_string(mt_threads.back()) + "_ns_per_op";
-      base_mt_last = json_number(baseline_json, mt_key);
-      have_baseline = base_append == base_append;  // not nan
-    }
+    const std::string baseline_json = read_text_file(bp);
+    base_append = json_number(baseline_json, "append1_ns_per_op");
+    base_lines = json_number(baseline_json, "append1_lines_per_op");
+    const std::string mt_key =
+        "append_mt_" + std::to_string(mt_threads.back()) + "_ns_per_op";
+    base_mt_last = json_number(baseline_json, mt_key);
+    have_baseline = base_append == base_append;  // not nan
   }
   const double speedup = have_baseline ? base_append / append_ns : 0.0;
   const bool lines_reduced =

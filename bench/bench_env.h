@@ -43,6 +43,20 @@ inline double median(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
+// Whole contents of the file at `path`, or "" when it cannot be opened
+// (json_number then reads every key as nan).
+inline std::string read_text_file(const char* path) {
+  std::string text;
+  if (std::FILE* f = std::fopen(path, "r")) {
+    char chunk[4096];
+    std::size_t got;
+    while ((got = std::fread(chunk, 1, sizeof chunk, f)) > 0)
+      text.append(chunk, got);
+    std::fclose(f);
+  }
+  return text;
+}
+
 // Minimal flat-JSON number scraper for committed baseline files: finds
 // "key": <number> and returns the number, or nan.
 inline double json_number(const std::string& text, const std::string& key) {

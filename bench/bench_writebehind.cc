@@ -205,21 +205,13 @@ int main() {
   // here is append + fsync, so it must sit in the same regime as
   // BENCH_datapath.json's plain append (reported, not gated — the fence
   // per op and separate runs make a hard bar flappy).
-  double datapath_append = std::nan("");
-  if (std::FILE* f = std::fopen("BENCH_datapath.json", "r")) {
-    std::string text;
-    char chunk[4096];
-    std::size_t got;
-    while ((got = std::fread(chunk, 1, sizeof chunk, f)) > 0)
-      text.append(chunk, got);
-    std::fclose(f);
-    datapath_append = json_number(text, "append1_ns_per_op");
-    if (datapath_append == datapath_append)
-      std::printf("strict 4KB x1 vs datapath append: %.0f vs %.0f ns/op "
-                  "(%.2fx)\n",
-                  s1.s.ns_per_op, datapath_append,
-                  s1.s.ns_per_op / datapath_append);
-  }
+  const double datapath_append = json_number(
+      read_text_file("BENCH_datapath.json"), "append1_ns_per_op");
+  if (datapath_append == datapath_append)
+    std::printf("strict 4KB x1 vs datapath append: %.0f vs %.0f ns/op "
+                "(%.2fx)\n",
+                s1.s.ns_per_op, datapath_append,
+                s1.s.ns_per_op / datapath_append);
 
   std::FILE* out = std::fopen("BENCH_writebehind.json", "w");
   if (out != nullptr) {

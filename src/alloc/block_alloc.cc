@@ -176,12 +176,12 @@ Result<std::uint64_t> BlockAllocator::alloc(std::uint64_t n_blocks,
                                             std::uint64_t hint) {
   SIMURGH_CHECK(n_blocks > 0 && shared_ != nullptr);
   auto r = n_blocks <= kReserveServeMax ? alloc_reserved(n_blocks, hint)
-                                        : carve_grant(n_blocks, hint);
+                                        : alloc_exact(n_blocks, hint);
   if (r.is_ok()) stats_->allocs.fetch_add(1, std::memory_order_relaxed);
   return r;
 }
 
-Result<std::uint64_t> BlockAllocator::carve_grant(std::uint64_t n,
+Result<std::uint64_t> BlockAllocator::alloc_exact(std::uint64_t n,
                                                   std::uint64_t hint) {
   auto r = alloc_direct(n, n, hint);
   if (!r.is_ok()) return r.status();
@@ -218,25 +218,6 @@ Result<BlockAllocator::Run> BlockAllocator::alloc_direct(std::uint64_t min_n,
     if (r) return *r;
   }
   return Errc::no_space;
-}
-
-Result<BlockAllocator::Run> BlockAllocator::carve(std::uint64_t n_blocks,
-                                                  std::uint64_t hint) {
-  if (CarveProxy* p = carve_proxy_->load(std::memory_order_acquire)) {
-    // The arbiter grants exact sizes: a whole chunk, else just the request.
-    // ok and no_space are its answer; anything else (busy while the service
-    // endpoint shuts down, io after an owner crash with no seat takeable)
-    // degrades to the direct path — unarbitrated but crash-safe.
-    auto r = p->carve(kReserveChunk, hint);
-    std::uint64_t got = kReserveChunk;
-    if (r.code() == Errc::no_space) {
-      r = p->carve(n_blocks, hint);
-      got = n_blocks;
-    }
-    if (r.is_ok()) return Run{*r, got};
-    if (r.code() == Errc::no_space) return r.status();
-  }
-  return alloc_direct(n_blocks, kReserveChunk, hint);
 }
 
 void BlockAllocator::attach_shared_state(ShmAllocShared* shared,
@@ -320,14 +301,14 @@ Result<std::uint64_t> BlockAllocator::alloc_reserved(std::uint64_t n,
                                                      std::uint64_t hint) {
   const std::uint64_t self = common::lease_self_token();
   ShmReservation* res = shm_thread_slot();
-  if (res == nullptr) return carve_grant(n, hint);
+  if (res == nullptr) return alloc_exact(n, hint);
   lock_reservation(*res, self, lease_ns_);
   if (res->mount.load(std::memory_order_relaxed) != mount_token_ ||
       res->thread.load(std::memory_order_relaxed) != self) {
     // Lease-reclaimed between shm_thread_slot's check and our lock.  Serve
     // this call directly; the next call's revalidation rebinds.
     unlock_reservation(*res, self);
-    return carve_grant(n, hint);
+    return alloc_exact(n, hint);
   }
   if (res->n.load(std::memory_order_relaxed) >= n) {
     const std::uint64_t off = res->dev_off.load(std::memory_order_relaxed);
@@ -351,7 +332,7 @@ Result<std::uint64_t> BlockAllocator::alloc_reserved(std::uint64_t n,
   // Refill with the slot lock dropped: carving the chunk spins on segment
   // locks, and a short slot lease must not expire around that wait.
   unlock_reservation(*res, self);
-  auto c = carve(n, hint);
+  auto c = alloc_direct(n, kReserveChunk, hint);
   if (!c.is_ok()) return c.status();
   const std::uint64_t rest = c->n - n;
   lock_reservation(*res, self, lease_ns_);

@@ -60,20 +60,6 @@ struct BlockAllocStats {
   std::atomic<std::uint64_t> reserve_slot_probes{0};
 };
 
-// Arbitration hook for reservation-chunk carves (service mode, DESIGN.md
-// §13).  When installed, every refill chunk is requested through the proxy
-// — a service-mode client routes a kCarve to the owner mount, which
-// arbitrates block grants like namespace mutations.  Any answer but ok or
-// no_space (service shutting down, owner unreachable) falls back to the
-// direct path: unarbitrated, still crash-safe.
-class CarveProxy {
- public:
-  virtual ~CarveProxy() = default;
-  // Grants `n_blocks` contiguous blocks; returns the run's device offset.
-  virtual Result<std::uint64_t> carve(std::uint64_t n_blocks,
-                                      std::uint64_t hint) = 0;
-};
-
 class BlockAllocator {
  public:
   // Formats the allocator over device blocks [data_off, data_off+len) with
@@ -104,17 +90,6 @@ class BlockAllocator {
   void set_lease_ns(std::uint64_t ns) noexcept { lease_ns_ = ns; }
 
   BlockAllocStats& stats() noexcept { return *stats_; }
-
-  // Installs (or, with nullptr, removes) the carve arbitration proxy; it
-  // must outlive every allocation made while it is installed.
-  void set_carve_proxy(CarveProxy* proxy) noexcept {
-    carve_proxy_->store(proxy, std::memory_order_release);
-  }
-  // Exactly `n_blocks` through the direct path.  Public as the owner-side
-  // execution of an arbitrated carve: the service dispatcher grants
-  // without re-entering the proxy (which would route back to itself).
-  Result<std::uint64_t> carve_grant(std::uint64_t n_blocks,
-                                    std::uint64_t hint);
 
   // ---- per-thread block reservations (data-path fast lane) ----
   //
@@ -231,9 +206,9 @@ class BlockAllocator {
   // Direct path: one walk over the segments from the hint's segment.
   Result<Run> alloc_direct(std::uint64_t min_n, std::uint64_t max_n,
                            std::uint64_t hint);
-  // Reservation refill: through the carve proxy when installed (service
-  // mode), alloc_direct otherwise.
-  Result<Run> carve(std::uint64_t n_blocks, std::uint64_t hint);
+  // Exactly `n_blocks` through the direct path (no reservation).
+  Result<std::uint64_t> alloc_exact(std::uint64_t n_blocks,
+                                    std::uint64_t hint);
   // Serves from this thread's shm slot, refilling it with one carve.
   Result<std::uint64_t> alloc_reserved(std::uint64_t n_blocks,
                                        std::uint64_t hint);
@@ -254,9 +229,6 @@ class BlockAllocator {
   std::unique_ptr<BlockAllocStats> stats_;
   std::unique_ptr<common::LeaseSweep> reap_sweep_ =
       std::make_unique<common::LeaseSweep>();
-  // Heap-held for the same movability reason; read on every refill carve.
-  std::unique_ptr<std::atomic<CarveProxy*>> carve_proxy_ =
-      std::make_unique<std::atomic<CarveProxy*>>(nullptr);
   // Free map, segment locks, reservation slots (attach_shared_state).
   ShmAllocShared* shared_ = nullptr;
   std::atomic<std::uint64_t>* map_ = nullptr;

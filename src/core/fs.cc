@@ -11,10 +11,8 @@
 #include <string_view>
 
 #include "common/failpoint.h"
-#include "common/hash.h"
 #include "common/lease.h"
 #include "core/scrub.h"
-#include "core/svc_ring.h"
 #include "core/write_behind.h"
 
 namespace simurgh::core {
@@ -31,12 +29,7 @@ FileSystem::FileSystem(nvmm::Device& nvmm, nvmm::Device& shm)
 
 // Destruction without unmount() models a crashed process: the heartbeat
 // thread dies with the instance and peers reap the slot after the lease.
-// The service endpoint shuts down WITHOUT resigning the owner seat (a
-// crashed owner is replaced by lease-based election, not by courtesy), and
-// before the write-behind tier's member destruction so the persister never
-// carves through a dying proxy.
 FileSystem::~FileSystem() {
-  if (meta_) meta_->begin_shutdown(/*resign=*/false);
   if (scrub_) scrub_->stop();
   stop_heartbeat_thread();
 }
@@ -60,8 +53,6 @@ void FileSystem::start_heartbeat_thread() {
       hb_cv_.wait_for(lk, std::chrono::nanoseconds(ns));
       if (hb_stop_) return;
       if (!registry_->heartbeat(attachment_)) registry_->reattach(attachment_);
-      if (MetaService* m = meta_beat_.load(std::memory_order_acquire))
-        m->stamp_seat();
       // Dead-peer reap, wall-clock-paced (~once per lease) so the data
       // path never walks the registry or the lock table.  Deferred until
       // the mount is fully constructed: recovery may still be running
@@ -286,12 +277,6 @@ void FileSystem::unmount() {
     wb_->drain_all();
     wb_.reset();
   }
-  // Clean detach from the service ring: resign the owner seat (a waiting
-  // client elects itself immediately instead of waiting out the lease).
-  // After the write-behind drain, whose refill carves still route through
-  // the proxy; before the heartbeat stops, so the server thread's last
-  // dispatches still see a live mount.
-  if (meta_) meta_->begin_shutdown(/*resign=*/true);
   if (scrub_) scrub_->stop();
   // Stop heartbeating first: once the slot is released below, a stale
   // heartbeat would fail and reattach — resurrecting the mount mid-detach.
@@ -472,13 +457,6 @@ FsStat FileSystem::fsstat() {
     st.staged_bytes = wc.staged_bytes;
     st.writeback_backpressure_hits = wc.backpressure_hits;
   }
-  st.svc_requests = svc_requests_.load(std::memory_order_relaxed);
-  st.svc_local_fastpath =
-      svc_local_fastpath_.load(std::memory_order_relaxed);
-  if (meta_) {
-    st.svc_served = meta_->served();
-    st.svc_failovers = meta_->failovers();
-  }
   st.crc_verify_failures =
       crc_verify_failures_.load(std::memory_order_relaxed);
   if (scrub_) {
@@ -488,19 +466,6 @@ FsStat FileSystem::fsstat() {
   }
   return st;
 }
-
-Status FileSystem::enable_service_mode() {
-  if (meta_) return Status::ok();  // idempotent
-  auto m = std::make_unique<MetaService>(*this);
-  SIMURGH_RETURN_IF_ERROR(m->enable());
-  // From here every reservation refill is arbitrated too.
-  blocks_->set_carve_proxy(m.get());
-  meta_beat_.store(m.get(), std::memory_order_release);
-  meta_ = std::move(m);
-  return Status::ok();
-}
-
-bool FileSystem::service_mode() const noexcept { return meta_ != nullptr; }
 
 // Called once the data-path components exist.
 void FileSystem::make_write_behind() {
@@ -553,13 +518,6 @@ void FileSystem::register_protected_functions() {
     gateway_->jmpp(prot_handle_.entry(0), arg, &inner);
     return inner;
   });
-  // Entry 3: svc_attach — mints the metadata-service ring capability for a
-  // mount token (core/svc_ring.h): a privileged mix of the token with the
-  // superblock magic that the serving owner recomputes before dispatching,
-  // so a forged ring request is refused without resolving anything.
-  entries.push_back([this](void* arg) -> std::uint64_t {
-    return mix64(*static_cast<const std::uint64_t*>(arg) ^ sb().magic);
-  });
   auto h = bootstrap_->load_protected("simurgh", std::move(entries),
                                       protsec::Credentials{0, 0});
   SIMURGH_CHECK(h.is_ok());
@@ -593,29 +551,14 @@ Stat Process::stat_of(std::uint64_t ino_off) const {
   return st;
 }
 
-// Resolve + permission-check the target of set_durability(path), shared by
-// the local path and the service-mode server (which arbitrates exactly this
-// step; the class itself is per-mount DRAM and is applied by the caller).
-Result<std::uint64_t> Process::durability_target(std::string_view path) {
+Status Process::set_durability(std::string_view path, Durability d) {
+  fs_.poll_coordination();
   SIMURGH_ASSIGN_OR_RETURN(ResolveResult rr,
                            fs_.walker().resolve(cred_, path));
   Inode* ino = fs_.inode_at(rr.inode_off);
-  if (!ino->is_file()) return Errc::is_dir;
-  if (!may_access(*ino, cred_, kMayWrite)) return Errc::permission;
-  return rr.inode_off;
-}
-
-Status Process::set_durability(std::string_view path, Durability d) {
-  fs_.poll_coordination();
-  std::uint64_t target = 0;
-  if (auto routed = route_meta(SvcOp::kSetDurability, path, {},
-                               static_cast<std::uint64_t>(d), 0, &target)) {
-    if (!routed->is_ok()) return *routed;
-    return fs_.apply_durability(target, d);
-  }
-  SIMURGH_ASSIGN_OR_RETURN(const std::uint64_t ino_off,
-                           durability_target(path));
-  return fs_.apply_durability(ino_off, d);
+  if (!ino->is_file()) return Status(Errc::is_dir);
+  if (!may_access(*ino, cred_, kMayWrite)) return Status(Errc::permission);
+  return fs_.apply_durability(rr.inode_off, d);
 }
 
 Status Process::set_durability(int fd, Durability d) {
@@ -629,10 +572,6 @@ Status Process::set_durability(int fd, Durability d) {
   // not bad_fd.
   if (!fs_.inode_at(ino_off)->is_file()) return Status(Errc::is_dir);
   if ((f->flags & kOpenWrite) == 0) return Status(Errc::bad_fd);
-  if (auto routed = route_meta(SvcOp::kSetDurabilityFd, {}, {}, ino_off,
-                               static_cast<std::uint64_t>(d))) {
-    if (!routed->is_ok()) return *routed;
-  }
   return fs_.apply_durability(ino_off, d);
 }
 
@@ -788,54 +727,25 @@ Status Process::drop_inode(std::uint64_t inode_off) {
   return Status::ok();
 }
 
-// open(O_CREAT)'s create step as one routable unit: resolve the parent,
-// report exists (the caller judges O_EXCL), create otherwise.  Executed by
-// the service-mode server on behalf of clients.
-Result<std::uint64_t> Process::create_path(std::string_view path,
-                                           std::uint32_t mode) {
-  SIMURGH_ASSIGN_OR_RETURN(ResolveResult rr,
-                           fs_.walker().resolve_parent(cred_, path));
-  if (rr.inode_off != 0) return Errc::exists;
-  return create_file(rr, mode, kModeFile);
-}
-
 Result<int> Process::open(std::string_view path, int flags,
                           std::uint32_t mode) {
   fs_.poll_coordination();
   const bool want_write = (flags & kOpenWrite) != 0;
   std::uint64_t ino_off = 0;
   if ((flags & kOpenCreate) != 0) {
-    std::uint64_t created = 0;
-    if (auto routed =
-            route_meta(SvcOp::kCreate, path, {}, mode, 0, &created)) {
-      // Arbitrated create.  The owner reports exists without judging
-      // O_EXCL (it does not see the flags); the client decides: error
-      // under O_EXCL, otherwise reopen without O_CREAT (depth-1 — the
-      // recursion clears the flag).
-      if (routed->is_ok()) {
-        ino_off = created;
-      } else if (routed->code() == Errc::exists &&
-                 (flags & kOpenExcl) == 0) {
-        return open(path, flags & ~kOpenCreate, mode);
-      } else {
-        return routed->code();
+    SIMURGH_ASSIGN_OR_RETURN(ResolveResult rr,
+                             fs_.walker().resolve_parent(cred_, path));
+    if (rr.inode_off != 0) {
+      if ((flags & kOpenExcl) != 0) return Errc::exists;
+      Inode* existing = fs_.inode_at(rr.inode_off);
+      if (existing->is_symlink()) {
+        SIMURGH_ASSIGN_OR_RETURN(ResolveResult deep,
+                                 fs_.walker().resolve(cred_, path));
+        rr.inode_off = deep.inode_off;
       }
+      ino_off = rr.inode_off;
     } else {
-      SIMURGH_ASSIGN_OR_RETURN(ResolveResult rr,
-                               fs_.walker().resolve_parent(cred_, path));
-      if (rr.inode_off != 0) {
-        if ((flags & kOpenExcl) != 0) return Errc::exists;
-        Inode* existing = fs_.inode_at(rr.inode_off);
-        if (existing->is_symlink()) {
-          SIMURGH_ASSIGN_OR_RETURN(ResolveResult deep,
-                                   fs_.walker().resolve(cred_, path));
-          rr.inode_off = deep.inode_off;
-        }
-        ino_off = rr.inode_off;
-      } else {
-        SIMURGH_ASSIGN_OR_RETURN(ino_off,
-                                 create_file(rr, mode, kModeFile));
-      }
+      SIMURGH_ASSIGN_OR_RETURN(ino_off, create_file(rr, mode, kModeFile));
     }
   } else {
     SIMURGH_ASSIGN_OR_RETURN(ResolveResult rr,
@@ -860,8 +770,6 @@ Status Process::close(int fd) { return fds_.close(fd); }
 
 Status Process::mkdir(std::string_view path, std::uint32_t mode) {
   fs_.poll_coordination();
-  if (auto routed = route_meta(SvcOp::kMkdir, path, {}, mode, 0))
-    return *routed;
   SIMURGH_ASSIGN_OR_RETURN(ResolveResult rr,
                            fs_.walker().resolve_parent(cred_, path));
   if (rr.inode_off != 0) return Status(Errc::exists);
@@ -870,8 +778,6 @@ Status Process::mkdir(std::string_view path, std::uint32_t mode) {
 
 Status Process::rmdir(std::string_view path) {
   fs_.poll_coordination();
-  if (auto routed = route_meta(SvcOp::kRmdir, path, {}, 0, 0))
-    return *routed;
   SIMURGH_ASSIGN_OR_RETURN(ResolveResult rr,
                            fs_.walker().resolve_parent(cred_, path));
   if (rr.inode_off == 0) return Status(Errc::not_found);
@@ -888,8 +794,6 @@ Status Process::rmdir(std::string_view path) {
 
 Status Process::unlink(std::string_view path) {
   fs_.poll_coordination();
-  if (auto routed = route_meta(SvcOp::kUnlink, path, {}, 0, 0))
-    return *routed;
   SIMURGH_ASSIGN_OR_RETURN(ResolveResult rr,
                            fs_.walker().resolve_parent(cred_, path));
   if (rr.inode_off == 0) return Status(Errc::not_found);
@@ -905,8 +809,6 @@ Status Process::unlink(std::string_view path) {
 
 Status Process::rename(std::string_view from, std::string_view to) {
   fs_.poll_coordination();
-  if (auto routed = route_meta(SvcOp::kRename, from, to, 0, 0))
-    return *routed;
   SIMURGH_ASSIGN_OR_RETURN(ResolveResult src,
                            fs_.walker().resolve_parent(cred_, from));
   if (src.inode_off == 0) return Status(Errc::not_found);
@@ -968,8 +870,6 @@ Result<Stat> Process::fstat(int fd) {
 
 Status Process::link(std::string_view existing, std::string_view newpath) {
   fs_.poll_coordination();
-  if (auto routed = route_meta(SvcOp::kLink, existing, newpath, 0, 0))
-    return *routed;
   SIMURGH_ASSIGN_OR_RETURN(ResolveResult src,
                            fs_.walker().resolve(cred_, existing));
   Inode* ino = fs_.inode_at(src.inode_off);
@@ -1003,8 +903,6 @@ Status Process::link(std::string_view existing, std::string_view newpath) {
 
 Status Process::symlink(std::string_view target, std::string_view linkpath) {
   fs_.poll_coordination();
-  if (auto routed = route_meta(SvcOp::kSymlink, target, linkpath, 0, 0))
-    return *routed;
   SIMURGH_ASSIGN_OR_RETURN(ResolveResult rr,
                            fs_.walker().resolve_parent(cred_, linkpath));
   if (rr.inode_off != 0) return Status(Errc::exists);
@@ -1035,8 +933,6 @@ Status Process::access(std::string_view path, unsigned may) {
 
 Status Process::chmod(std::string_view path, std::uint32_t mode) {
   fs_.poll_coordination();
-  if (auto routed = route_meta(SvcOp::kChmod, path, {}, mode, 0))
-    return *routed;
   SIMURGH_ASSIGN_OR_RETURN(ResolveResult rr, fs_.walker().resolve(cred_, path));
   Inode* ino = fs_.inode_at(rr.inode_off);
   if (cred_.euid != 0 &&
@@ -1057,8 +953,6 @@ Status Process::chmod(std::string_view path, std::uint32_t mode) {
 Status Process::chown(std::string_view path, std::uint32_t uid,
                       std::uint32_t gid) {
   fs_.poll_coordination();
-  if (auto routed = route_meta(SvcOp::kChown, path, {}, uid, gid))
-    return *routed;
   SIMURGH_ASSIGN_OR_RETURN(ResolveResult rr, fs_.walker().resolve(cred_, path));
   Inode* ino = fs_.inode_at(rr.inode_off);
   if (cred_.euid != 0) return Status(Errc::permission);

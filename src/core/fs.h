@@ -18,7 +18,6 @@
 
 #include <condition_variable>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -118,17 +117,6 @@ struct FsStat {
   std::uint64_t group_commits = 0;      // epochs group-committed to NVMM
   std::uint64_t staged_bytes = 0;       // current DRAM staging residency
   std::uint64_t writeback_backpressure_hits = 0;  // cap-forced strict falls
-  // Metadata-service mode (this mount's view; see core/svc_ring.h).  On a
-  // client mount in service mode, every namespace/allocation mutation adds
-  // to svc_requests and svc_local_fastpath stays zero — the pair proves no
-  // mutation bypassed arbitration.  The owner's own mutations count as
-  // svc_local_fastpath (it IS the arbiter).  svc_served counts requests
-  // THIS mount dispatched while owner; svc_failovers is the ring-wide
-  // ownership-change count.
-  std::uint64_t svc_requests = 0;
-  std::uint64_t svc_local_fastpath = 0;
-  std::uint64_t svc_served = 0;
-  std::uint64_t svc_failovers = 0;
   // Integrity layer (this mount's view; see core/integrity.h, core/scrub.h).
   std::uint64_t crc_verify_failures = 0;  // verify_reads mismatches returned
   std::uint64_t scrub_passes = 0;
@@ -165,9 +153,7 @@ struct RecoveryReport {
 
 class Process;
 class WriteBehind;
-class MetaService;
 class Scrubber;
-enum class SvcOp : std::uint32_t;
 
 class FileSystem {
  public:
@@ -229,9 +215,6 @@ class FileSystem {
         reap_segment_locks_.load(std::memory_order_relaxed));
     return r;
   }
-  [[nodiscard]] MountRegistry& mount_registry() noexcept {
-    return *registry_;
-  }
   [[nodiscard]] std::uint64_t mount_token() const noexcept {
     return attachment_.token;
   }
@@ -255,17 +238,6 @@ class FileSystem {
   // Binds a durability class to an inode; a downgrade to strict flushes the
   // inode's staged ranges first.
   Status apply_durability(std::uint64_t ino_off, Durability d);
-
-  // ---- metadata-service mode (core/svc_ring.h) ----
-  // Opt-in: attaches this mount to the shm request ring (electing it owner
-  // when the seat is empty) and routes every namespace/allocation mutation
-  // of its processes through the owner from then on.  Reads/writes keep the
-  // direct NVMM path.  Errc::no_space when the shm device cannot hold the
-  // ring.
-  Status enable_service_mode();
-  [[nodiscard]] MetaService* meta_service() noexcept { return meta_.get(); }
-  // True once enable_service_mode() succeeded on this mount.
-  [[nodiscard]] bool service_mode() const noexcept;
 
   // ---- integrity layer (core/integrity.h, core/scrub.h) ----
   [[nodiscard]] CrcTable& crc() noexcept { return crc_; }
@@ -357,7 +329,6 @@ class FileSystem {
 
  private:
   friend class Process;
-  friend class MetaService;
   friend class Scrubber;
   FileSystem(nvmm::Device& nvmm, nvmm::Device& shm);
   void attach_components(bool formatted, const FormatOptions& opts);
@@ -439,19 +410,6 @@ class FileSystem {
   std::atomic<std::uint64_t> crc_verify_failures_{0};
   std::unique_ptr<Scrubber> scrub_;  // created by format()/mount()
 
-  // ---- metadata-service mode ----
-  // Null until enable_service_mode().  Declared BEFORE wb_ deliberately:
-  // the write-behind persister may carve block reservations through the
-  // service proxy during its own destruction, so the MetaService object
-  // must outlive wb_ (its server thread, which calls INTO wb_, is joined
-  // explicitly at the top of ~FileSystem/unmount before either dies).
-  std::unique_ptr<MetaService> meta_;
-  // meta_ as the heartbeat thread reads it (stamp_seat): published once by
-  // enable_service_mode, valid until the thread is joined.
-  std::atomic<MetaService*> meta_beat_{nullptr};
-  std::atomic<std::uint64_t> svc_requests_{0};
-  std::atomic<std::uint64_t> svc_local_fastpath_{0};
-
   // Honours SIMURGH_WRITEBEHIND_SYNC_DRAIN; called by format()/mount().
   void make_write_behind();
   // Declared LAST: destroyed first, so the persister thread is joined while
@@ -523,29 +481,11 @@ class Process {
 
  private:
   friend class FileSystem;
-  friend class MetaService;
-
-  // Service-mode arbitration (core/svc_ring.h): when this mount is a
-  // client, forwards the mutation to the owner and returns its status;
-  // disengaged optional = execute locally (service off, owner fast path, or
-  // this Process IS the server-side worker).
-  std::optional<Status> route_meta(SvcOp op, std::string_view p1,
-                                   std::string_view p2, std::uint64_t a0,
-                                   std::uint64_t a1,
-                                   std::uint64_t* r0 = nullptr);
 
   // Shared implementation pieces.
   Result<std::uint64_t> create_file(const ResolveResult& where,
                                     std::uint32_t mode, std::uint32_t type,
                                     std::string_view symlink_target = {});
-  // Resolve + permission-check + create a regular file at `path` (open's
-  // O_CREAT step); shared by the local path and the service-mode server.
-  Result<std::uint64_t> create_path(std::string_view path,
-                                    std::uint32_t mode);
-  // Resolve + permission-check the target of set_durability(path); returns
-  // the inode offset so service-mode clients can apply the class to their
-  // own write-behind tier after arbitration.
-  Result<std::uint64_t> durability_target(std::string_view path);
   Status drop_inode(std::uint64_t inode_off);
   Result<std::size_t> do_read(Inode& ino, std::uint64_t ino_off, void* buf,
                               std::size_t n, std::uint64_t off);
@@ -561,10 +501,6 @@ class Process {
   FileSystem& fs_;
   Credentials cred_;
   OpenFileMap fds_;
-  // Set on the stack Process the service-mode server dispatches through:
-  // its mutations execute locally (it already IS the arbiter) instead of
-  // re-routing into the ring.
-  bool svc_worker_ = false;
 };
 
 // Wall-clock timestamp helper shared by the FS code.

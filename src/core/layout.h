@@ -18,7 +18,6 @@
 //   [...]            Per-file reader/writer lock table (open addressing,
 //                    keyed by inode offset).
 //   [...]            The block free map: one bit per data-area block.
-//   [...]            Service ring, when service mode is enabled.
 //
 // Every cross-structure reference is an nvmm::pptr (device offset); inode
 // identity *is* the inode's offset — there are no inode numbers (§4.3).
@@ -227,17 +226,5 @@ struct CAPABILITY("mount_registry_lease") ShmHeader {
   // FileLock[n_locks] follows, then the free map at the next 64-byte
   // boundary.
 };
-
-// First shm byte past the header, the lock table and the free map that
-// FileLockTable::format places behind it (where the service ring starts).
-inline std::uint64_t shm_fixed_bytes(const ShmHeader& h) noexcept {
-  const auto* base = reinterpret_cast<const unsigned char*>(&h);
-  const auto* map =
-      reinterpret_cast<const unsigned char*>(&h.alloc_shared) +
-      h.alloc_shared.map_off;
-  const std::uint64_t end = static_cast<std::uint64_t>(map - base) +
-                            h.alloc_shared.map_words * sizeof(std::uint64_t);
-  return (end + 63) / 64 * 64;
-}
 
 }  // namespace simurgh::core

@@ -259,6 +259,10 @@ TEST_F(FsCrashTest, CrashDuringBlockSplitLosesNoSpace) {
   // reachable from any inode — full recovery's sweep must return them.
   auto fd = p().open("/bs", kOpenCreate | kOpenWrite);
   ASSERT_TRUE(fd.is_ok());
+  // Empty this thread's block reservation so the pwrite's 1-block
+  // allocation must refill it — through the claim — whatever format and
+  // the create above left in it.
+  fs_->blocks().drain_reservations();
   crash_during("blockalloc.claim",
                [&] { (void)p().pwrite(*fd, "x", 1, 0); });
   remount_after_crash();

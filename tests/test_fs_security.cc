@@ -14,7 +14,7 @@ using protsec::Fault;
 
 TEST_F(FsTest, MountRegistersProtectedLibrary) {
   const auto& h = fs_->prot_handle();
-  EXPECT_EQ(h.n_entries, 4u);
+  EXPECT_EQ(h.n_entries, 3u);
   EXPECT_NE(h.base_vaddr, 0u);
   // Entry 0 (fs_identify) returns the superblock magic with privilege.
   std::uint64_t r = 0;
@@ -48,9 +48,9 @@ TEST_F(FsTest, JmppIntoMiddleOfProtectedFunctionFaults) {
   const auto& h = fs_->prot_handle();
   EXPECT_EQ(fs_->gateway().jmpp(h.base_vaddr + 0x10, nullptr),
             Fault::bad_entry_offset);
-  // All four fixed slots are registered (identify, stat, nested call,
-  // service capability), so the page is full: probing one stride past it
-  // lands on an unmapped page and must fault in the walk.
+  // The page holds four fixed slots: three are registered (identify, stat,
+  // nested call) and the fourth is empty.  Probing four strides in lands
+  // on the next, unmapped page and must fault in the walk.
   EXPECT_EQ(fs_->gateway().jmpp(h.base_vaddr + 4 * protsec::kEntryStride,
                                 nullptr),
             Fault::not_present);
