@@ -2,14 +2,14 @@
 // through the public core::Process API — 4 KB appends (the Fig. 6 append
 // shape), 4 KB overwrites, 4 KB reads of a deliberately fragmented file
 // (spill-chain extent resolution), and a multi-thread append sweep (the
-// Fig. 7 DWAL shape, private files).  Alongside time, the persist counters
-// (nvmm::persist_stats) report flushed lines and fences per operation so the
-// flush-coalescing work is observable, not just inferable.
+// Fig. 7 DWAL shape, private files).  Alongside time, an untimed pass of
+// the append and overwrite loops under nvmm::FlushCounter reports flushed
+// lines and fences per operation so the flush-coalescing work is
+// observable, not just inferable.
 //
-// Run FROM THE REPO ROOT; writes BENCH_datapath.json to the cwd.  Runs
-// under the SIMURGH_NVMM_OPTANE wall-clock timing model by default (see
-// nvmm/persist.h) so fences cost modeled media time; set it to 0 for raw
-// emulated-DRAM numbers.
+// Run FROM THE REPO ROOT; writes BENCH_datapath.json to the cwd.  The timed
+// loops run under the Optane wall-clock model (optane_model.h), so fences
+// cost modeled media time, on prefaulted devices.
 //
 // A/B against a pre-change build: run the same bench on the old tree, save
 // its JSON, and point SIMURGH_BENCH_BASELINE_JSON at it — the new run then
@@ -35,6 +35,8 @@
 #include "bench_env.h"
 #include "core/fs.h"
 #include "harness/runner.h"
+#include "nvmm/shadow.h"
+#include "optane_model.h"
 
 using namespace simurgh;
 
@@ -52,21 +54,17 @@ struct PersistDelta {
   double fences_per_op = 0;
 };
 
-// Runs fn() once and reports the persist-counter deltas per `ops`.
+// Runs fn() once under a FlushCounter (which stands in for the timing
+// model meanwhile) and reports persisted lines and fences per `ops`.
 template <typename Fn>
 PersistDelta count_persists(std::uint64_t ops, Fn&& fn) {
-  auto& ps = nvmm::persist_stats();
-  const std::uint64_t l0 = ps.flushed_lines.load(std::memory_order_relaxed);
-  const std::uint64_t f0 = ps.fences.load(std::memory_order_relaxed);
+  nvmm::FlushCounter fc;
   fn();
   PersistDelta d;
-  d.lines_per_op =
-      static_cast<double>(ps.flushed_lines.load(std::memory_order_relaxed) -
-                          l0) /
-      static_cast<double>(ops);
+  d.lines_per_op = static_cast<double>(fc.persist_lines()) /
+                   static_cast<double>(ops);
   d.fences_per_op =
-      static_cast<double>(ps.fences.load(std::memory_order_relaxed) - f0) /
-      static_cast<double>(ops);
+      static_cast<double>(fc.fences()) / static_cast<double>(ops);
   return d;
 }
 
@@ -78,6 +76,8 @@ struct World {
   World() {
     dev = std::make_unique<nvmm::Device>(768ull << 20);
     shm = std::make_unique<nvmm::Device>(16ull << 20);
+    bench::prefault(*dev);
+    bench::prefault(*shm);
     fs = core::FileSystem::format(*dev, *shm);
     proc = fs->open_process(1000, 1000);
   }
@@ -159,11 +159,11 @@ double run_append_mt(core::FileSystem& fs, int threads, std::uint64_t ops,
 }  // namespace
 
 int main() {
-  // Same modeled testbed as bench_writebehind (persist.h): fences pay
-  // Optane-shaped media latency/bandwidth, the device is prefaulted like a
-  // DAX mapping.  Keeps this bench's strict numbers comparable with the
-  // write-behind bench's strict arm.  SIMURGH_NVMM_OPTANE=0 overrides.
-  setenv("SIMURGH_NVMM_OPTANE", "1", 0);
+  // Same modeled testbed as bench_writebehind (optane_model.h): fences pay
+  // Optane-shaped media latency/bandwidth, the devices are prefaulted like
+  // a DAX mapping.  Keeps this bench's strict numbers comparable with the
+  // write-behind bench's strict arm.
+  bench::OptaneModel optane;
   const bool smoke = bench::bench_smoke();
   const std::uint64_t ops = smoke ? 64 : 8192;
   const std::uint64_t mt_ops = smoke ? 64 : 2048;

@@ -8,12 +8,12 @@
 //           epoch cadence (fsyncs_absorbed per op is reported — it should
 //           be ~1.0: every fsync folded into the 100 µs group commit)
 //
-// The bench enables the nvmm Optane wall-clock timing model (persist.h):
-// with the counter-only emulation a fence is free, so strict-vs-staged
-// comparisons would measure bookkeeping, not durability cost.  Both classes
-// run under the same model — strict pays its fences at modeled media
-// latency/bandwidth, the staging tier pays them on the persister thread.
-// Set SIMURGH_NVMM_OPTANE=0 to measure the raw emulated-DRAM numbers.
+// The bench installs the Optane wall-clock model (optane_model.h) and
+// prefaults its devices: on the bare emulation a fence is free, so
+// strict-vs-staged comparisons would measure bookkeeping, not durability
+// cost.  Both classes run under the same model — strict pays its fences at
+// modeled media latency/bandwidth, the staging tier pays them on the
+// persister thread.
 //
 // Run FROM THE REPO ROOT; writes BENCH_writebehind.json to the cwd.
 // Median-rep gated like the other BENCH files: without SIMURGH_BENCH_SMOKE
@@ -25,7 +25,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -35,6 +34,7 @@
 #include "core/fs.h"
 #include "core/write_behind.h"
 #include "harness/runner.h"
+#include "optane_model.h"
 
 using namespace simurgh;
 
@@ -55,6 +55,8 @@ struct World {
   World() {
     dev = std::make_unique<nvmm::Device>(768ull << 20);
     shm = std::make_unique<nvmm::Device>(16ull << 20);
+    bench::prefault(*dev);
+    bench::prefault(*shm);
     fs = core::FileSystem::format(*dev, *shm);
     proc = fs->open_process(1000, 1000);
     core::WriteBehind* wb = fs->write_behind();
@@ -150,9 +152,7 @@ const char* cls_name(core::Durability d) {
 }  // namespace
 
 int main() {
-  // Before any persist-primitive call: the model config is latched at first
-  // use.  setenv with overwrite=0 keeps an explicit user override in force.
-  setenv("SIMURGH_NVMM_OPTANE", "1", 0);
+  bench::OptaneModel optane;
   const bool smoke = bench::bench_smoke();
   const std::uint64_t ops = smoke ? 48 : 4096;
   const int reps = smoke ? 1 : 5;

@@ -31,7 +31,7 @@ RecoveryReport FileSystem::recover() {
   // Long recoveries must not look like a dead mount: a peer blocked in
   // MountRegistry::wait_recovery_done watches our heartbeat, and if it
   // expires mid-sweep it CAS-steals the recovering token and runs a second
-  // recover() concurrently with this one — two free-list rebuilds on the
+  // recover() concurrently with this one — two free-map rebuilds on the
   // same image corrupt allocator state.  The background heartbeat thread
   // paces this in wall-clock time; the explicit beats threaded through the
   // scan loops below keep recover() safe on its own as well (tests and the

@@ -7,8 +7,6 @@
 #include <cstring>
 #include <utility>
 
-#include "nvmm/persist.h"
-
 namespace simurgh::nvmm {
 
 namespace {
@@ -16,13 +14,6 @@ std::size_t round_up_page(std::size_t n) {
   const std::size_t page = 4096;
   return (n + page - 1) / page * page;
 }
-
-// A real NVMM region is DAX-mapped: the whole range is backed at mmap time
-// and no access ever demand-faults.  Under the wall-clock timing model the
-// emulation matches that (MAP_POPULATE), so modeled persist costs are not
-// interleaved with page-fault noise.  Plain runs keep lazy faulting — tests
-// create many short-lived devices and prefaulting them all would be waste.
-int populate_flag() { return timing_model_enabled() ? MAP_POPULATE : 0; }
 }  // namespace
 
 Device::Device(std::size_t size, Sharing sharing)
@@ -30,7 +21,7 @@ Device::Device(std::size_t size, Sharing sharing)
   const int visibility =
       sharing == Sharing::shared_mapping ? MAP_SHARED : MAP_PRIVATE;
   void* p = ::mmap(nullptr, size_, PROT_READ | PROT_WRITE,
-                   visibility | MAP_ANONYMOUS | populate_flag(), -1, 0);
+                   visibility | MAP_ANONYMOUS, -1, 0);
   SIMURGH_CHECK(p != MAP_FAILED);
   base_ = static_cast<std::byte*>(p);
 }
@@ -41,7 +32,7 @@ Device::Device(const std::string& path, std::size_t size)
   SIMURGH_CHECK(fd_ >= 0);
   SIMURGH_CHECK(::ftruncate(fd_, static_cast<off_t>(size_)) == 0);
   void* p = ::mmap(nullptr, size_, PROT_READ | PROT_WRITE,
-                   MAP_SHARED | populate_flag(), fd_, 0);
+                   MAP_SHARED, fd_, 0);
   SIMURGH_CHECK(p != MAP_FAILED);
   base_ = static_cast<std::byte*>(p);
 }

@@ -1,61 +1,15 @@
 #include "nvmm/persist.h"
 
-#include <chrono>
-#include <cstdlib>
-#include <string_view>
+#include <atomic>
 
 namespace simurgh::nvmm {
-
-PersistStats& persist_stats() noexcept {
-  static PersistStats stats;
-  return stats;
-}
 
 namespace {
 std::atomic<StoreTracer*> g_tracer{nullptr};
 
-// Opt-in Optane wall-clock model (persist.h header comment).  Read from the
-// environment once; `enabled` stays false unless SIMURGH_NVMM_OPTANE is set
-// to something other than "0", so the default-path cost is one predictable
-// branch per primitive.
-struct TimingModel {
-  bool enabled = false;
-  double fence_base_ns = 200.0;    // costs.h nvmm_write_lat: 500 cyc @2.5GHz
-  double ns_per_byte = 1.0 / 12.0; // costs.h nvmm_write_bpc: ~12 GB/s
-};
-
-const TimingModel& timing_model() noexcept {
-  static const TimingModel m = [] {
-    TimingModel t;
-    const char* on = std::getenv("SIMURGH_NVMM_OPTANE");
-    t.enabled = on != nullptr && std::string_view(on) != "0";
-    if (const char* s = std::getenv("SIMURGH_NVMM_FENCE_NS"))
-      t.fence_base_ns = std::strtod(s, nullptr);
-    if (const char* s = std::getenv("SIMURGH_NVMM_BW_GBPS"))
-      if (const double g = std::strtod(s, nullptr); g > 0)
-        t.ns_per_byte = 1.0 / g;
-    return t;
-  }();
-  return m;
-}
-
-// Bytes this thread has flushed or streamed since its last fence — the
-// modeled write-pending-queue contents the next sfence must drain.
-thread_local std::uint64_t t_pending_bytes = 0;
-
-void spin_ns(double ns) noexcept {
-  using Clock = std::chrono::steady_clock;
-  const auto until =
-      Clock::now() + std::chrono::nanoseconds(static_cast<std::int64_t>(ns));
-  while (Clock::now() < until) {
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#endif
-  }
-}
+// StoreTracer::on_fence's argument: fences this thread issued while traced.
+thread_local std::uint64_t t_traced_fences = 0;
 }  // namespace
-
-bool timing_model_enabled() noexcept { return timing_model().enabled; }
 
 StoreTracer* set_store_tracer(StoreTracer* t) noexcept {
   return g_tracer.exchange(t, std::memory_order_acq_rel);
@@ -65,16 +19,11 @@ StoreTracer* store_tracer() noexcept {
   return g_tracer.load(std::memory_order_acquire);
 }
 
-std::uint64_t persist(const void* p, std::size_t len) noexcept {
-  auto& s = persist_stats();
-  const auto addr = reinterpret_cast<std::uintptr_t>(p);
-  const std::uintptr_t first = addr / kCacheLine;
-  const std::uintptr_t last = (addr + (len == 0 ? 0 : len - 1)) / kCacheLine;
-  s.flushed_lines.fetch_add(last - first + 1, std::memory_order_relaxed);
-  if (timing_model().enabled) [[unlikely]]
-    t_pending_bytes += (last - first + 1) * kCacheLine;
+void persist(const void* p, std::size_t len) noexcept {
 #ifdef SIMURGH_REAL_PERSIST
-  for (std::uintptr_t line = first; line <= last; ++line)
+  const auto addr = reinterpret_cast<std::uintptr_t>(p);
+  const std::uintptr_t last = (addr + (len == 0 ? 0 : len - 1)) / kCacheLine;
+  for (std::uintptr_t line = addr / kCacheLine; line <= last; ++line)
     __builtin_ia32_clflushopt(reinterpret_cast<void*>(line * kCacheLine));
 #endif
   // Compiler barrier: model that the flushed stores cannot be reordered
@@ -82,32 +31,19 @@ std::uint64_t persist(const void* p, std::size_t len) noexcept {
   std::atomic_signal_fence(std::memory_order_seq_cst);
   if (StoreTracer* t = g_tracer.load(std::memory_order_relaxed)) [[unlikely]]
     t->on_persist(p, len);
-  return s.epoch.load(std::memory_order_relaxed);
 }
 
-std::uint64_t fence() noexcept {
-  auto& s = persist_stats();
-  s.fences.fetch_add(1, std::memory_order_relaxed);
-  if (const TimingModel& m = timing_model(); m.enabled) [[unlikely]] {
-    spin_ns(m.fence_base_ns +
-            static_cast<double>(t_pending_bytes) * m.ns_per_byte);
-    t_pending_bytes = 0;
-  }
+void fence() noexcept {
 #ifdef SIMURGH_REAL_PERSIST
   __builtin_ia32_sfence();
 #endif
-  std::atomic_thread_fence(std::memory_order_release);
-  const std::uint64_t e = s.epoch.fetch_add(1, std::memory_order_acq_rel);
+  std::atomic_signal_fence(std::memory_order_seq_cst);
   if (StoreTracer* t = g_tracer.load(std::memory_order_relaxed)) [[unlikely]]
-    t->on_fence(e);
-  return e;
+    t->on_fence(++t_traced_fences);
 }
 
 void nt_copy(void* dst, const void* src, std::size_t len) noexcept {
   std::memcpy(dst, src, len);
-  persist_stats().nt_bytes.fetch_add(len, std::memory_order_relaxed);
-  if (timing_model().enabled) [[unlikely]]
-    t_pending_bytes += len;
   std::atomic_signal_fence(std::memory_order_seq_cst);
   if (StoreTracer* t = g_tracer.load(std::memory_order_relaxed)) [[unlikely]]
     t->on_nt_store(dst, len);

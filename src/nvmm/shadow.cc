@@ -61,12 +61,11 @@ void ShadowLog::on_nt_store(const void* dst, std::size_t len) {
   log_range(dst, len);
 }
 
-void ShadowLog::on_fence(std::uint64_t epoch) {
+void ShadowLog::on_fence(std::uint64_t /*seq*/) {
   common::MutexLock lock(mu_);
   ++stats_.fences;
   Window w;
   w.patches = std::move(open_);
-  w.fence_epoch = epoch;
   stats_.max_window_lines = std::max(stats_.max_window_lines, w.lines());
   windows_.push_back(std::move(w));
   open_.clear();
@@ -78,7 +77,6 @@ void ShadowLog::seal() {
   if (open_.empty()) return;
   Window w;
   w.patches = std::move(open_);
-  w.fence_epoch = 0;  // never fenced
   stats_.max_window_lines = std::max(stats_.max_window_lines, w.lines());
   windows_.push_back(std::move(w));
   open_.clear();

@@ -50,7 +50,6 @@ class ShadowLog final : public StoreTracer {
   // order (a re-flush of the same line overwrites its bytes in place).
   struct Window {
     std::vector<Patch> patches;
-    std::uint64_t fence_epoch = 0;  // epoch of the fence that sealed it
     [[nodiscard]] std::size_t lines() const noexcept {
       return patches.size();
     }
@@ -84,7 +83,7 @@ class ShadowLog final : public StoreTracer {
   // StoreTracer.
   void on_persist(const void* p, std::size_t len) override;
   void on_nt_store(const void* dst, std::size_t len) override;
-  void on_fence(std::uint64_t epoch) override;
+  void on_fence(std::uint64_t seq) override;
 
   [[nodiscard]] std::size_t n_windows() const noexcept {
     return windows_.size();

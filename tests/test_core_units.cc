@@ -8,6 +8,7 @@
 
 #include "core/fs.h"
 #include "nvmm/persist.h"
+#include "nvmm/shadow.h"
 
 namespace simurgh::core {
 namespace {
@@ -204,11 +205,10 @@ TEST_F(CoreUnitTest, CreatePersistsEntryBeforePublishing) {
   // Fig. 5a's order is enforced with fences; at minimum a create must
   // issue several flush+fence pairs (inode, entry, slot, commits).
   auto proc = fs_->open_process(1000, 1000);
-  auto& ps = nvmm::persist_stats();
-  ps.reset();
+  nvmm::FlushCounter fc;
   ASSERT_TRUE(proc->open("/ordered", kOpenCreate | kOpenWrite).is_ok());
-  EXPECT_GE(ps.fences.load(), 4u);
-  EXPECT_GE(ps.flushed_lines.load(), 8u);
+  EXPECT_GE(fc.fences(), 4u);
+  EXPECT_GE(fc.persist_lines(), 8u);
 }
 
 TEST_F(CoreUnitTest, ReadPathIssuesNoPersists) {
@@ -216,14 +216,13 @@ TEST_F(CoreUnitTest, ReadPathIssuesNoPersists) {
   auto fd = proc->open("/r", kOpenCreate | kOpenWrite | kOpenRead);
   ASSERT_TRUE(fd.is_ok());
   ASSERT_TRUE(proc->write(*fd, "data", 4).is_ok());
-  auto& ps = nvmm::persist_stats();
-  ps.reset();
+  nvmm::FlushCounter fc;
   char buf[4];
   ASSERT_TRUE(proc->pread(*fd, buf, 4, 0).is_ok());
   ASSERT_TRUE(proc->stat("/r").is_ok());
-  EXPECT_EQ(ps.fences.load(), 0u);
-  EXPECT_EQ(ps.flushed_lines.load(), 0u);
-  EXPECT_EQ(ps.nt_bytes.load(), 0u);
+  EXPECT_EQ(fc.fences(), 0u);
+  EXPECT_EQ(fc.persist_lines(), 0u);
+  EXPECT_EQ(fc.nt_stores(), 0u);
 }
 
 TEST_F(CoreUnitTest, FsstatTracksAllocations) {

@@ -120,14 +120,13 @@ TEST_F(FsDataTest, FallocateReservesBlocks) {
 
 TEST_F(FsDataTest, WritePersistsDataBeforeMetadata) {
   // The paper's ordering rule: data is persisted (nt stores) and fenced
-  // before the size update.  Observable via the persist-stats epochs: the
-  // write path must issue at least two fences with nt bytes in between.
-  auto& ps = nvmm::persist_stats();
+  // before the size update.  The write path must stream the data and issue
+  // at least two fences: data fence + metadata fence.
   const int fd = make_file("/order");
-  ps.reset();
+  nvmm::FlushCounter fc;
   ASSERT_TRUE(p().pwrite(fd, "payload", 7, 0).is_ok());
-  EXPECT_GE(ps.nt_bytes.load(), 7u);
-  EXPECT_GE(ps.fences.load(), 2u);  // data fence + metadata fence
+  EXPECT_GE(fc.nt_lines(), 1u);
+  EXPECT_GE(fc.fences(), 2u);
 }
 
 TEST_F(FsDataTest, UnlinkReturnsBlocksToAllocator) {

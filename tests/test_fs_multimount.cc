@@ -363,11 +363,14 @@ TEST_F(MultiMountTest, ReapOfAHeldFileLockDropsEveryMountsCaches) {
 
 TEST_F(MultiMountTest, SurvivorReclaimsDeadMountsBlockReservations) {
   fs_a_->set_lease_ns(2'000'000);
-  fs_b_->set_lease_ns(2'000'000);
   // One small write on A carves a reservation chunk; most of it is still
   // unserved when A dies.
   write_all(a(), "/f", std::string(100, 'r'));
+  // B samples under the default lease, which no heartbeat stall outlasts,
+  // so it cannot (falsely) reap A and reclaim its chunk mid-sample; only
+  // then does B's lease shrink so its reap of the dead A comes quickly.
   const std::uint64_t free_before = fs_b_->fsstat().free_blocks;
+  fs_b_->set_lease_ns(2'000'000);
   pa_.reset();
   fs_a_.reset();  // dies without unmount, reservation stranded
   std::this_thread::sleep_for(std::chrono::milliseconds(10));

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <thread>
+#include <vector>
 
 #include "nvmm/device.h"
 #include "nvmm/persist.h"
 #include "nvmm/pptr.h"
+#include "nvmm/shadow.h"
 
 namespace simurgh::nvmm {
 namespace {
@@ -99,46 +102,50 @@ TEST(AtomicPptr, CompareExchange) {
 }
 
 TEST(Persist, CountsFlushedLines) {
-  auto& s = persist_stats();
-  s.reset();
+  FlushCounter fc;
   alignas(64) char buf[256];
   persist(buf, 1);
-  EXPECT_EQ(s.flushed_lines.load(), 1u);
+  EXPECT_EQ(fc.persist_lines(), 1u);
   persist(buf, 65);  // spans two lines
-  EXPECT_EQ(s.flushed_lines.load(), 3u);
-}
-
-TEST(Persist, FenceAdvancesEpoch) {
-  auto& s = persist_stats();
-  s.reset();
-  const std::uint64_t e0 = fence();
-  const std::uint64_t e1 = fence();
-  EXPECT_EQ(e1, e0 + 1);
-  EXPECT_EQ(s.fences.load(), 2u);
-}
-
-TEST(Persist, OrderingObservable) {
-  // The write path's contract: data flush epoch <= fence epoch that
-  // precedes the metadata update.
-  auto& s = persist_stats();
-  s.reset();
-  char data[64];
-  const std::uint64_t data_epoch = persist(data, sizeof data);
-  const std::uint64_t fence_epoch = fence();
-  char meta[8];
-  const std::uint64_t meta_epoch = persist(meta, sizeof meta);
-  EXPECT_LE(data_epoch, fence_epoch);
-  EXPECT_GT(meta_epoch, data_epoch);
+  EXPECT_EQ(fc.persist_lines(), 3u);
+  EXPECT_EQ(fc.persist_calls(), 2u);
 }
 
 TEST(Persist, NtCopyCountsBytes) {
-  auto& s = persist_stats();
-  s.reset();
-  char src[100], dst[100];
+  FlushCounter fc;
+  char src[100];
+  alignas(64) char dst[100];
   std::memset(src, 5, sizeof src);
   nt_copy(dst, src, sizeof src);
-  EXPECT_EQ(s.nt_bytes.load(), 100u);
+  EXPECT_EQ(fc.nt_stores(), 1u);
+  EXPECT_EQ(fc.nt_lines(), 2u);  // 100 bytes from a line boundary
+  EXPECT_EQ(fc.persist_lines(), 0u);
   EXPECT_EQ(std::memcmp(src, dst, sizeof src), 0);
+}
+
+// Records the sequence numbers fence() hands its tracer.
+class FenceSeqRecorder final : public StoreTracer {
+ public:
+  FenceSeqRecorder() : prev_(set_store_tracer(this)) {}
+  ~FenceSeqRecorder() { set_store_tracer(prev_); }
+  void on_persist(const void*, std::size_t) override {}
+  void on_nt_store(const void*, std::size_t) override {}
+  void on_fence(std::uint64_t seq) override { seqs.push_back(seq); }
+
+  std::vector<std::uint64_t> seqs;
+
+ private:
+  StoreTracer* prev_;
+};
+
+TEST(Persist, FenceSeqNumbersThisThreadsTracedFences) {
+  FenceSeqRecorder rec;
+  fence();
+  fence();
+  std::thread([] { fence(); }).join();  // its own count starts at 1
+  ASSERT_EQ(rec.seqs.size(), 3u);
+  EXPECT_EQ(rec.seqs[1], rec.seqs[0] + 1);
+  EXPECT_EQ(rec.seqs[2], 1u);
 }
 
 }  // namespace
