@@ -1,11 +1,12 @@
 // Data-path microbenchmark: real wall-clock cost of the hot file I/O loop
 // through the public core::Process API — 4 KB appends (the Fig. 6 append
 // shape), 4 KB overwrites, 4 KB reads of a deliberately fragmented file
-// (spill-chain extent resolution), and a multi-thread append sweep (the
-// Fig. 7 DWAL shape, private files).  Alongside time, an untimed pass of
-// the append and overwrite loops under nvmm::FlushCounter reports flushed
-// lines and fences per operation so the flush-coalescing work is
-// observable, not just inferable.
+// (spill-chain extent resolution), a multi-thread append sweep (the
+// Fig. 7 DWAL shape, private files), and the integrity stamp every write
+// pays (CrcTable::block_crc over a ring of 4 KB blocks).  Alongside time,
+// an untimed pass of the append and overwrite loops under
+// nvmm::FlushCounter reports flushed lines and fences per operation so the
+// flush-coalescing work is observable, not just inferable.
 //
 // Run FROM THE REPO ROOT; writes BENCH_datapath.json to the cwd.  The timed
 // loops run under the Optane wall-clock model (optane_model.h), so fences
@@ -33,7 +34,9 @@
 #include <vector>
 
 #include "bench_env.h"
+#include "common/hash.h"
 #include "core/fs.h"
+#include "core/integrity.h"
 #include "harness/runner.h"
 #include "nvmm/shadow.h"
 #include "optane_model.h"
@@ -114,6 +117,17 @@ double run_read(core::Process& p, int fd, char* buf,
   const auto t0 = Clock::now();
   for (std::uint64_t i = 0; i < ops; ++i)
     SIMURGH_CHECK(p.pread(fd, buf, 4096, (i % file_blocks) * 4096).is_ok());
+  return ns_per_op(t0, Clock::now(), ops);
+}
+
+// One rep of CrcTable::block_crc over a ring of distinct 4 KB blocks.
+double run_block_crc(const std::vector<char>& ring, std::uint64_t ops) {
+  const std::uint64_t n_blocks = ring.size() / 4096;
+  volatile std::uint32_t sink = 0;
+  const auto t0 = Clock::now();
+  for (std::uint64_t i = 0; i < ops; ++i)
+    sink = sink +
+           core::CrcTable::block_crc(ring.data() + (i % n_blocks) * 4096);
   return ns_per_op(t0, Clock::now(), ops);
 }
 
@@ -225,6 +239,15 @@ int main() {
     read_frag_reps.push_back(run_read(p, *fa, rbuf.data(), frag_blocks, ops));
   const double read_frag_ns = median(read_frag_reps);
 
+  // --- CRC32C of a 4 KB block ---
+  std::vector<char> crc_ring(64 * 4096);
+  for (std::size_t i = 0; i < crc_ring.size(); ++i)
+    crc_ring[i] = static_cast<char>(mix64(i));
+  std::vector<double> crc_reps;
+  for (int r = 0; r < reps; ++r)
+    crc_reps.push_back(run_block_crc(crc_ring, ops));
+  const double block_crc_ns = median(crc_reps);
+
   // --- multi-thread append sweep ---
   std::vector<double> mt_ns;
   for (int t : mt_threads) {
@@ -243,6 +266,7 @@ int main() {
   std::printf("4KB read    seq:         %8.0f ns/op\n", read_seq_ns);
   std::printf("4KB read    fragmented:  %8.0f ns/op  (%llu extents)\n",
               read_frag_ns, (unsigned long long)frag_blocks);
+  std::printf("4KB block CRC32C:        %8.0f ns/op\n", block_crc_ns);
   for (std::size_t i = 0; i < mt_threads.size(); ++i)
     std::printf("4KB append  (%d threads): %8.0f ns/op aggregate (%.2f "
                 "Mops/s)\n",
@@ -297,11 +321,12 @@ int main() {
                  "  \"overwrite1_fences_per_op\": %.2f,\n"
                  "  \"read_seq_ns_per_op\": %.1f,\n"
                  "  \"read_frag_ns_per_op\": %.1f,\n"
-                 "  \"read_frag_extents\": %llu,\n",
+                 "  \"read_frag_extents\": %llu,\n"
+                 "  \"block_crc_ns\": %.1f,\n",
                  (unsigned long long)ops, append_ns, append_pd.lines_per_op,
                  append_pd.fences_per_op, ovw_ns, ovw_pd.lines_per_op,
                  ovw_pd.fences_per_op, read_seq_ns, read_frag_ns,
-                 (unsigned long long)frag_blocks);
+                 (unsigned long long)frag_blocks, block_crc_ns);
     for (std::size_t i = 0; i < mt_threads.size(); ++i)
       std::fprintf(out, "  \"append_mt_%d_ns_per_op\": %.1f,\n",
                    mt_threads[i], mt_ns[i]);

@@ -72,8 +72,11 @@ class ExtentCache {
  private:
   using Slot = std::atomic<ViewPtr>;
   [[nodiscard]] Slot& slot_for(std::uint64_t ino_off) noexcept {
-    // Inode offsets are pool offsets with a 256-byte stride; spread them.
-    return slots_[(ino_off * 0x9e3779b97f4a7c15ull >> 17) & (n_slots_ - 1)];
+    // Index by inode slot in the pool (256-byte stride), so any n_slots_
+    // consecutively allocated inodes get distinct slots.
+    constexpr std::uint64_t kStride =
+        sizeof(alloc::ObjectHeader) + kInodePayload;
+    return slots_[(ino_off / kStride) & (n_slots_ - 1)];
   }
 
   std::size_t n_slots_;

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <map>
 #include <set>
 #include <thread>
@@ -13,6 +14,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/table.h"
+#include "core/integrity.h"
 
 namespace simurgh {
 namespace {
@@ -67,6 +69,79 @@ TEST(Hash, Mix64SpreadsBits) {
   std::set<std::uint64_t> seen;
   for (std::uint64_t i = 0; i < 1000; ++i) seen.insert(mix64(i));
   EXPECT_EQ(seen.size(), 1000u);
+}
+
+// Known answers for both CRC32C paths: the runtime dispatch and the
+// slice-by-8 fallback.
+void expect_crc32c(const void* data, std::size_t n, std::uint32_t want) {
+  EXPECT_EQ(crc32c(data, n), want) << "n=" << n;
+  EXPECT_EQ(~detail::crc32c_sw(data, n, ~0u), want) << "n=" << n;
+}
+
+TEST(Crc32c, Rfc3720KnownAnswers) {
+  // RFC 3720 section B.4, plus the catalogue check value of "123456789".
+  unsigned char b[32];
+  std::memset(b, 0x00, sizeof b);
+  expect_crc32c(b, sizeof b, 0x8a9136aau);
+  std::memset(b, 0xff, sizeof b);
+  expect_crc32c(b, sizeof b, 0x62a8ab43u);
+  for (unsigned i = 0; i < sizeof b; ++i) b[i] = static_cast<unsigned char>(i);
+  expect_crc32c(b, sizeof b, 0x46dd794eu);
+  for (unsigned i = 0; i < sizeof b; ++i)
+    b[i] = static_cast<unsigned char>(31 - i);
+  expect_crc32c(b, sizeof b, 0x113fdb5cu);
+  expect_crc32c("123456789", 9, 0xe3069283u);
+}
+
+#if defined(__x86_64__)
+TEST(Crc32c, HardwareMatchesSoftwareForEveryLengthAndAlignment) {
+  if (!__builtin_cpu_supports("sse4.2")) GTEST_SKIP() << "no SSE4.2";
+  // Past three 4 KiB blocks, so the three-stream stripes, their fold and
+  // every serial tail length all run at every start alignment.
+  constexpr std::size_t kMaxLen = 3 * 4096 + 17;
+  std::vector<unsigned char> buf(kMaxLen + 8);
+  for (std::size_t i = 0; i < buf.size(); ++i)
+    buf[i] = static_cast<unsigned char>(mix64(i));
+  for (std::size_t off = 0; off < 8; ++off) {
+    const auto seed = static_cast<std::uint32_t>(mix64(off));
+    // The software CRC of the first n bytes, extended one byte per length.
+    std::uint32_t want = seed;
+    for (std::size_t n = 0; n <= kMaxLen; ++n) {
+      ASSERT_EQ(detail::crc32c_hw(buf.data() + off, n, seed), want)
+          << "n=" << n << " off=" << off;
+      want = detail::crc32c_sw(buf.data() + off + n, 1, want);
+    }
+  }
+  // The seed enters the first chain, so each seed folds different values.
+  for (std::uint64_t i = 0; i < 4096; ++i) {
+    const auto seed = static_cast<std::uint32_t>(mix64(i));
+    ASSERT_EQ(detail::crc32c_hw(buf.data(), 4096, seed),
+              detail::crc32c_sw(buf.data(), 4096, seed))
+        << "seed=" << seed;
+  }
+}
+#endif
+
+TEST(Crc32c, SeedChainsConcatenation) {
+  std::vector<unsigned char> buf(3 * 4096);
+  for (std::size_t i = 0; i < buf.size(); ++i)
+    buf[i] = static_cast<unsigned char>(mix64(i ^ 0x5a));
+  const std::uint32_t whole = crc32c(buf.data(), buf.size());
+  for (std::size_t cut : {0, 1, 7, 8, 1360, 4079, 4080, 4096, 8191, 12288})
+    EXPECT_EQ(crc32c(buf.data() + cut, buf.size() - cut,
+                     crc32c(buf.data(), cut)),
+              whole)
+        << "cut=" << cut;
+}
+
+TEST(Crc32c, PinnedBlockCrc) {
+  // The CRC table on media holds these values: a change here would make
+  // every image written by an earlier build fail verification.
+  unsigned char blk[4096];
+  for (std::size_t i = 0; i < sizeof blk; ++i)
+    blk[i] = static_cast<unsigned char>(mix64(i));
+  EXPECT_EQ(core::CrcTable::block_crc(blk), 0xf87ace44u);
+  EXPECT_EQ(~detail::crc32c_sw(blk, sizeof blk, ~0u), 0xf87ace44u);
 }
 
 TEST(Rng, Deterministic) {

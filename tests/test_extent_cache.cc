@@ -152,6 +152,27 @@ TEST_F(ExtentCacheTest, UnlinkRecreateNeverReplaysTheOldMapping) {
   }
 }
 
+TEST_F(ExtentCacheTest, ConsecutiveInodesEachKeepTheirOwnSlot) {
+  // Files created in a row take consecutive inode slots, and the cache is
+  // indexed by inode slot: one pass fills a view per file, and no fill
+  // evicts another, so a second pass over all of them only hits.
+  const int kFiles = static_cast<int>(fs_->extent_cache().slot_count());
+  std::vector<char> blk(4096, 'c');
+  std::vector<int> fds;
+  for (int i = 0; i < kFiles; ++i) {
+    fds.push_back(make_file("/c" + std::to_string(i)));
+    ASSERT_TRUE(p().pwrite(fds.back(), blk.data(), blk.size(), 0).is_ok());
+  }
+  for (int fd : fds)
+    ASSERT_EQ(*p().pread(fd, blk.data(), blk.size(), 0), blk.size());
+  fs_->extent_cache().reset_stats();
+  for (int fd : fds)
+    ASSERT_EQ(*p().pread(fd, blk.data(), blk.size(), 0), blk.size());
+  const core::ExtentCacheStats s = fs_->extent_cache().stats();
+  EXPECT_EQ(s.misses, 0u);
+  EXPECT_GE(s.hits, static_cast<std::uint64_t>(kFiles));
+}
+
 TEST_F(ExtentCacheTest, StatsFlowThroughFsstat) {
   const int fd = make_file("/stats");
   std::vector<char> blk(4096, 's');
