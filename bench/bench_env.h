@@ -4,8 +4,10 @@
 // Perf numbers are only comparable against numbers from the same class of
 // machine, so each result file records where it was produced: the CPU count
 // the C++ runtime sees (what the scaling arms actually had to work with)
-// and the kernel/arch triple from uname.  Readers diffing two BENCH files
-// can tell at a glance whether a regression is code or hardware.
+// the kernel/arch triple from uname, and the transparent-huge-page mode
+// (whether the devices' 2 MiB pages took effect).  Readers diffing two
+// BENCH files can tell at a glance whether a regression is code or
+// hardware.
 #pragma once
 
 #include <sys/utsname.h>
@@ -19,21 +21,6 @@
 #include <vector>
 
 namespace simurgh {
-
-// Emits the environment stanza as comma-terminated JSON fields; callers
-// place it right after the opening '{' of their result object.
-inline void bench_env_fields(std::FILE* out) {
-  utsname u{};
-  const bool have = ::uname(&u) == 0;
-  std::fprintf(out,
-               "  \"hardware_concurrency\": %u,\n"
-               "  \"host_sysname\": \"%s\",\n"
-               "  \"host_release\": \"%s\",\n"
-               "  \"host_machine\": \"%s\",\n",
-               std::thread::hardware_concurrency(),
-               have ? u.sysname : "unknown", have ? u.release : "unknown",
-               have ? u.machine : "unknown");
-}
 
 // Median across reps — the gating statistic every BENCH_*.json uses (a
 // best-of-reps min rewards one lucky scheduling window; the median is what
@@ -55,6 +42,34 @@ inline std::string read_text_file(const char* path) {
     std::fclose(f);
   }
   return text;
+}
+
+// The bracketed transparent-huge-page mode ("always", "madvise" or
+// "never"), or "unknown".  Under "never" the devices' 2 MiB mapping advice
+// (nvmm/device.h) cannot take effect.
+inline std::string thp_mode() {
+  const std::string text =
+      read_text_file("/sys/kernel/mm/transparent_hugepage/enabled");
+  const std::size_t lo = text.find('[');
+  const std::size_t hi = text.find(']', lo);
+  if (lo == std::string::npos || hi == std::string::npos) return "unknown";
+  return text.substr(lo + 1, hi - lo - 1);
+}
+
+// Emits the environment stanza as comma-terminated JSON fields; callers
+// place it right after the opening '{' of their result object.
+inline void bench_env_fields(std::FILE* out) {
+  utsname u{};
+  const bool have = ::uname(&u) == 0;
+  std::fprintf(out,
+               "  \"hardware_concurrency\": %u,\n"
+               "  \"host_sysname\": \"%s\",\n"
+               "  \"host_release\": \"%s\",\n"
+               "  \"host_machine\": \"%s\",\n"
+               "  \"thp\": \"%s\",\n",
+               std::thread::hardware_concurrency(),
+               have ? u.sysname : "unknown", have ? u.release : "unknown",
+               have ? u.machine : "unknown", thp_mode().c_str());
 }
 
 // Minimal flat-JSON number scraper for committed baseline files: finds

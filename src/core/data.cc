@@ -22,6 +22,7 @@ namespace simurgh::core {
 namespace {
 constexpr std::uint64_t kBS = alloc::kBlockSize;
 constexpr std::uint64_t kNoZero = ~std::uint64_t{0};
+constexpr std::uint64_t kRelatimeNs = 24ull * 3600 * 1'000'000'000;
 }  // namespace
 
 Result<bool> FileSystem::ensure_allocated(ExtentResolver& res, Inode& ino,
@@ -180,9 +181,16 @@ Result<std::size_t> Process::do_read(Inode& ino, std::uint64_t ino_off,
     done += chunk;
   }
   if (staged) wb->overlay_read(ino_off, buf, n, off);
-  // Lazy atime: volatile update only; persisting atime on every read would
-  // defeat the purpose of a read path (relatime-style policy).
-  ino.atime_ns.store(wall_ns(), std::memory_order_relaxed);
+  // relatime: store atime only when it is not newer than mtime or ctime, or
+  // is a day old.  Otherwise a read writes nothing to the inode's line,
+  // which every other reader of the file loads.  Volatile like before:
+  // persisting atime would put a flush on the read path.
+  const std::uint64_t atime = ino.atime_ns.load(std::memory_order_relaxed);
+  const std::uint64_t now = wall_ns();
+  if (atime <= ino.mtime_ns.load(std::memory_order_relaxed) ||
+      atime <= ino.ctime_ns.load(std::memory_order_relaxed) ||
+      (now > atime && now - atime >= kRelatimeNs))
+    ino.atime_ns.store(now, std::memory_order_relaxed);
   return done;
 }
 

@@ -20,17 +20,17 @@ ExtentCache::ViewPtr ExtentCache::get(std::uint64_t ino_off,
                                       std::uint64_t epoch) noexcept {
   ViewPtr v = slot_for(ino_off).load(std::memory_order_acquire);
   if (v && v->ino_off == ino_off && v->epoch == epoch) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
+    hits_.add();
     return v;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  misses_.add();
   return nullptr;
 }
 
 void ExtentCache::put(ViewPtr v) noexcept {
   if (!v) return;
   Slot& s = slot_for(v->ino_off);
-  fills_.fetch_add(1, std::memory_order_relaxed);
+  fills_.add();
   // Unconditional overwrite: a racing stale put is harmless — its epoch no
   // longer matches the inode's, so the next get simply misses and refills.
   s.store(std::move(v), std::memory_order_release);
@@ -50,16 +50,16 @@ void ExtentCache::clear() noexcept {
 
 ExtentCacheStats ExtentCache::stats() const noexcept {
   ExtentCacheStats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.fills = fills_.load(std::memory_order_relaxed);
+  s.hits = hits_.load();
+  s.misses = misses_.load();
+  s.fills = fills_.load();
   return s;
 }
 
 void ExtentCache::reset_stats() noexcept {
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  fills_.store(0, std::memory_order_relaxed);
+  hits_.reset();
+  misses_.reset();
+  fills_.reset();
 }
 
 const ExtentCache::View* ExtentResolver::view() {

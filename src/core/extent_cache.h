@@ -30,6 +30,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/counters.h"
 #include "core/inode.h"
 
 namespace simurgh::core {
@@ -81,9 +82,9 @@ class ExtentCache {
 
   std::size_t n_slots_;
   std::unique_ptr<Slot[]> slots_;
-  mutable std::atomic<std::uint64_t> hits_{0};
-  mutable std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> fills_{0};
+  common::StripedCounter hits_;
+  common::StripedCounter misses_;
+  common::StripedCounter fills_;
 };
 
 // Per-operation resolver: answers "longest mapped-or-hole run starting at

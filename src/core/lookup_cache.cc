@@ -22,13 +22,6 @@ std::size_t round_pow2(std::size_t n) noexcept {
   return p;
 }
 
-// Stats are monotone hints, not invariants: a plain load+store bump keeps
-// the hot path free of lock-prefixed RMWs (a lost increment under a racing
-// bump is acceptable).
-inline void bump(std::atomic<std::uint64_t>& c) noexcept {
-  c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
-}
-
 // Packs a string into u64 words (zero-padded) for word-wise atomic storage.
 void pack_words(std::string_view s, std::uint64_t* words,
                 std::size_t n_words) noexcept {
@@ -94,13 +87,13 @@ LookupCache::Slot& LookupCache::slot_for(std::uint64_t parent_off,
 bool LookupCache::get(std::uint64_t parent_off, std::string_view name,
                       std::uint64_t dir_epoch, Binding& out) noexcept {
   if (!cacheable(name)) {
-    bump(misses_);
+    counts_.misses.add();
     return false;
   }
   Slot& s = slot_for(parent_off, name);
   const std::uint64_t seq1 = s.seq.load(std::memory_order_acquire);
   if ((seq1 & 1) != 0) {
-    bump(misses_);
+    counts_.misses.add();
     return false;  // mid-write
   }
   const std::uint64_t parent = s.parent.load(std::memory_order_relaxed);
@@ -114,21 +107,21 @@ bool LookupCache::get(std::uint64_t parent_off, std::string_view name,
     words[i] = s.name[i].load(std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_acquire);
   if (s.seq.load(std::memory_order_relaxed) != seq1) {
-    bump(misses_);
+    counts_.misses.add();
     return false;  // torn by a concurrent fill
   }
   if (parent != parent_off || len != name.size() ||
       !words_equal(name, words) || inode == 0) {
-    bump(misses_);
+    counts_.misses.add();
     return false;
   }
   if (epoch != dir_epoch) {
-    bump(conflicts_);
+    counts_.conflicts.add();
     return false;  // directory mutated since the fill
   }
   out.fentry_off = fentry;
   out.inode_off = inode;
-  bump(hits_);
+  counts_.hits.add();
   return true;
 }
 
@@ -153,7 +146,7 @@ void LookupCache::put(std::uint64_t parent_off, std::string_view name,
   for (std::size_t i = 0; i < kNameWords; ++i)
     s.name[i].store(words[i], std::memory_order_relaxed);
   s.seq.store(seq + 2, std::memory_order_release);
-  bump(fills_);
+  counts_.fills.add();
 }
 
 void LookupCache::clear() noexcept {
@@ -170,22 +163,6 @@ void LookupCache::clear() noexcept {
     s.name_len.store(0, std::memory_order_relaxed);
     s.seq.store(seq + 2, std::memory_order_release);
   }
-}
-
-LookupCacheStats LookupCache::stats() const noexcept {
-  LookupCacheStats st;
-  st.hits = hits_.load(std::memory_order_relaxed);
-  st.misses = misses_.load(std::memory_order_relaxed);
-  st.conflicts = conflicts_.load(std::memory_order_relaxed);
-  st.fills = fills_.load(std::memory_order_relaxed);
-  return st;
-}
-
-void LookupCache::reset_stats() noexcept {
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  conflicts_.store(0, std::memory_order_relaxed);
-  fills_.store(0, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -205,13 +182,13 @@ PathCache::Slot& PathCache::slot_for(std::uint64_t cred_key,
 bool PathCache::get(std::uint64_t cred_key, std::string_view path,
                     Entry& out) noexcept {
   if (!cacheable(path)) {
-    bump(misses_);
+    counts_.misses.add();
     return false;
   }
   Slot& s = slot_for(cred_key, path);
   const std::uint64_t seq1 = s.seq.load(std::memory_order_acquire);
   if ((seq1 & 1) != 0) {
-    bump(misses_);
+    counts_.misses.add();
     return false;  // mid-write
   }
   const std::uint64_t cred = s.cred.load(std::memory_order_relaxed);
@@ -233,12 +210,12 @@ bool PathCache::get(std::uint64_t cred_key, std::string_view path,
   }
   std::atomic_thread_fence(std::memory_order_acquire);
   if (s.seq.load(std::memory_order_relaxed) != seq1) {
-    bump(misses_);
+    counts_.misses.add();
     return false;  // torn by a concurrent fill
   }
   if (cred != cred_key || len != path.size() ||
       !words_equal(path, words) || out.inode_off == 0 || nd == 0) {
-    bump(misses_);
+    counts_.misses.add();
     return false;
   }
   out.leaf_pos = static_cast<std::uint32_t>(leaf >> 32);
@@ -276,7 +253,7 @@ void PathCache::put(std::uint64_t cred_key, std::string_view path,
     s.buckets[i].store(e.buckets[i], std::memory_order_relaxed);
   }
   s.seq.store(seq + 2, std::memory_order_release);
-  bump(fills_);
+  counts_.fills.add();
 }
 
 void PathCache::clear() noexcept {
@@ -296,24 +273,8 @@ void PathCache::clear() noexcept {
   }
 }
 
-void PathCache::note_hit() noexcept { bump(hits_); }
+void PathCache::note_hit() noexcept { counts_.hits.add(); }
 
-void PathCache::note_conflict() noexcept { bump(conflicts_); }
-
-LookupCacheStats PathCache::stats() const noexcept {
-  LookupCacheStats st;
-  st.hits = hits_.load(std::memory_order_relaxed);
-  st.misses = misses_.load(std::memory_order_relaxed);
-  st.conflicts = conflicts_.load(std::memory_order_relaxed);
-  st.fills = fills_.load(std::memory_order_relaxed);
-  return st;
-}
-
-void PathCache::reset_stats() noexcept {
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  conflicts_.store(0, std::memory_order_relaxed);
-  fills_.store(0, std::memory_order_relaxed);
-}
+void PathCache::note_conflict() noexcept { counts_.conflicts.add(); }
 
 }  // namespace simurgh::core

@@ -50,6 +50,8 @@
 #include <memory>
 #include <string_view>
 
+#include "common/counters.h"
+
 namespace simurgh::core {
 
 struct LookupCacheStats {
@@ -57,6 +59,22 @@ struct LookupCacheStats {
   std::uint64_t misses = 0;     // empty / different-key slots
   std::uint64_t conflicts = 0;  // key matched but the epoch moved on
   std::uint64_t fills = 0;      // successful inserts
+};
+
+// The counters behind LookupCacheStats, striped per thread so a cached
+// walk writes no line that other cores write too (common/counters.h).
+struct LookupCacheCounters {
+  common::StripedCounter hits, misses, conflicts, fills;
+
+  [[nodiscard]] LookupCacheStats load() const noexcept {
+    return {hits.load(), misses.load(), conflicts.load(), fills.load()};
+  }
+  void reset() noexcept {
+    hits.reset();
+    misses.reset();
+    conflicts.reset();
+    fills.reset();
+  }
 };
 
 class LookupCache {
@@ -96,8 +114,10 @@ class LookupCache {
   // Drops every entry (FileSystem::drop_dram_caches; tests).
   void clear() noexcept;
 
-  [[nodiscard]] LookupCacheStats stats() const noexcept;
-  void reset_stats() noexcept;
+  [[nodiscard]] LookupCacheStats stats() const noexcept {
+    return counts_.load();
+  }
+  void reset_stats() noexcept { counts_.reset(); }
 
   [[nodiscard]] std::size_t capacity() const noexcept { return n_slots_; }
 
@@ -123,10 +143,7 @@ class LookupCache {
   std::size_t n_slots_;  // power of two
   std::uint64_t mask_;
 
-  mutable std::atomic<std::uint64_t> hits_{0};
-  mutable std::atomic<std::uint64_t> misses_{0};
-  mutable std::atomic<std::uint64_t> conflicts_{0};
-  mutable std::atomic<std::uint64_t> fills_{0};
+  LookupCacheCounters counts_;
 };
 
 // Whole-path fast layer on top of the component cache: maps
@@ -192,8 +209,10 @@ class PathCache {
   void note_hit() noexcept;
   void note_conflict() noexcept;
 
-  [[nodiscard]] LookupCacheStats stats() const noexcept;
-  void reset_stats() noexcept;
+  [[nodiscard]] LookupCacheStats stats() const noexcept {
+    return counts_.load();
+  }
+  void reset_stats() noexcept { counts_.reset(); }
 
   [[nodiscard]] std::size_t capacity() const noexcept { return n_slots_; }
 
@@ -221,10 +240,7 @@ class PathCache {
   std::size_t n_slots_;
   std::uint64_t mask_;
 
-  mutable std::atomic<std::uint64_t> hits_{0};
-  mutable std::atomic<std::uint64_t> misses_{0};
-  mutable std::atomic<std::uint64_t> conflicts_{0};
-  mutable std::atomic<std::uint64_t> fills_{0};
+  LookupCacheCounters counts_;
 };
 
 }  // namespace simurgh::core

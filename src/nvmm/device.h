@@ -9,6 +9,14 @@
 // Everything stored inside a Device uses relative offsets (nvmm::pptr), never
 // absolute pointers, exactly as §4.1 of the paper requires: the mapping
 // address is randomized per process (ASLR) and must not leak into the media.
+//
+// An anonymous Device is mapped like a devdax namespace: base() is 2 MiB
+// aligned and the range is advised MADV_HUGEPAGE, so reads pay no 4 KiB
+// page walks the paper's hardware would not charge.  The advice is
+// best-effort: it is ignored when THP is off, and size() and offsets never
+// depend on it.  MAP_SHARED devices are shmem, which follows the host's
+// shmem_enabled setting instead.  File-backed devices keep their plain file
+// mapping.
 #pragma once
 
 #include <cstddef>
@@ -33,7 +41,7 @@ enum class Sharing {
 
 class Device {
  public:
-  // Anonymous device of `size` bytes (rounded up to the page size).
+  // Anonymous device of `size` bytes (rounded up to the 4 KiB page size).
   explicit Device(std::size_t size,
                   Sharing sharing = Sharing::private_mapping);
   // File-backed device (created/extended as needed) — fsdax emulation.

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/failpoint.h"
 #include "common/hash.h"
 #include "common/lease.h"
@@ -142,6 +143,29 @@ TEST(Crc32c, PinnedBlockCrc) {
     blk[i] = static_cast<unsigned char>(mix64(i));
   EXPECT_EQ(core::CrcTable::block_crc(blk), 0xf87ace44u);
   EXPECT_EQ(~detail::crc32c_sw(blk, sizeof blk, ~0u), 0xf87ace44u);
+}
+
+TEST(StripedCounter, ConcurrentAddsSumExactly) {
+  common::StripedCounter c;
+  constexpr int kThreads = 8;
+  constexpr std::uint64_t kAdds = 100000;
+  static_assert(kThreads <= common::StripedCounter::kCells);
+  std::vector<std::thread> ts;
+  for (int t = 0; t < kThreads; ++t)
+    ts.emplace_back([&] {
+      for (std::uint64_t i = 0; i < kAdds; ++i) c.add();
+    });
+  for (auto& t : ts) t.join();
+  EXPECT_EQ(c.load(), kThreads * kAdds);
+}
+
+TEST(StripedCounter, ResetGivesZero) {
+  common::StripedCounter c;
+  c.add(5);
+  std::thread([&] { c.add(7); }).join();
+  EXPECT_EQ(c.load(), 12u);
+  c.reset();
+  EXPECT_EQ(c.load(), 0u);
 }
 
 TEST(Rng, Deterministic) {

@@ -1,4 +1,8 @@
 // Basic POSIX-level behaviour through the public API.
+#include <sys/prctl.h>
+
+#include <string>
+
 #include "fs_fixture.h"
 
 namespace simurgh::testing {
@@ -174,6 +178,39 @@ TEST_F(FsTest, FsyncSucceedsOnOpenFd) {
   ASSERT_TRUE(fd.is_ok());
   EXPECT_TRUE(p().fsync(*fd).is_ok());
   EXPECT_EQ(p().fsync(9999).code(), Errc::bad_fd);
+}
+
+// The devices' huge-page advice is best-effort: with THP disabled for the
+// process the file system formats, writes, remounts and checks clean.
+TEST(HugePageAdvice, FileSystemWorksWithThpDisabled) {
+  ASSERT_EQ(::prctl(PR_SET_THP_DISABLE, 1, 0, 0, 0), 0);
+  {
+    nvmm::Device nvmm(64u << 20);
+    nvmm::Device shm(8u << 20);
+    nvmm.wipe();
+    shm.wipe();
+    auto fs = core::FileSystem::format(nvmm, shm);
+    auto p = fs->open_process(1000, 1000);
+    auto fd = p->open("/f", kOpenCreate | kOpenWrite);
+    ASSERT_TRUE(fd.is_ok());
+    const std::string data(3 * 4096 + 17, 'h');
+    ASSERT_TRUE(p->write(*fd, data.data(), data.size()).is_ok());
+    ASSERT_TRUE(p->close(*fd).is_ok());
+    p.reset();
+    fs->unmount();
+    fs.reset();
+    fs = core::FileSystem::mount(nvmm, shm);
+    p = fs->open_process(1000, 1000);
+    auto rfd = p->open("/f", kOpenRead);
+    ASSERT_TRUE(rfd.is_ok());
+    std::string back(data.size(), '\0');
+    ASSERT_TRUE(p->read(*rfd, back.data(), back.size()).is_ok());
+    EXPECT_EQ(back, data);
+    ASSERT_TRUE(p->close(*rfd).is_ok());
+    const core::CheckReport cr = core::check_fs(*fs);
+    EXPECT_TRUE(cr.ok()) << cr.summary();
+  }
+  EXPECT_EQ(::prctl(PR_SET_THP_DISABLE, 0, 0, 0, 0), 0);
 }
 
 }  // namespace

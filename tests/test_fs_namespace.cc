@@ -237,6 +237,36 @@ TEST_F(FsTest, UtimesSetsTimestamps) {
   EXPECT_EQ(st->mtime_ns, 222u);
 }
 
+TEST_F(FsTest, ReadsUpdateAtimeRelatimeStyle) {
+  auto fd = p().open("/rt", kOpenCreate | kOpenRead | kOpenWrite);
+  ASSERT_TRUE(fd.is_ok());
+  // An unread file keeps its creation atime across stats.
+  const core::Stat created = *p().stat("/rt");
+  EXPECT_EQ(created.atime_ns, created.ctime_ns);
+  EXPECT_EQ(p().stat("/rt")->atime_ns, created.atime_ns);
+
+  char buf[4096] = {};
+  ASSERT_TRUE(p().pwrite(*fd, buf, sizeof buf, 0).is_ok());
+  ASSERT_TRUE(p().pread(*fd, buf, sizeof buf, 0).is_ok());
+  const core::Stat read1 = *p().stat("/rt");
+  EXPECT_GT(read1.atime_ns, read1.mtime_ns);  // read after write moves it
+  ASSERT_TRUE(p().pread(*fd, buf, sizeof buf, 0).is_ok());
+  EXPECT_EQ(p().stat("/rt")->atime_ns, read1.atime_ns);  // a re-read does not
+
+  // With atime newer than mtime and ctime, only its age matters: 23 h
+  // stays, 25 h moves.
+  constexpr std::uint64_t kHour = 3600ull * 1'000'000'000;
+  const std::uint64_t now = core::wall_ns();
+  fs_->inode_at(read1.inode)->ctime_ns.store(now - 26 * kHour);
+  ASSERT_TRUE(p().utimes("/rt", now - 23 * kHour, now - 26 * kHour).is_ok());
+  ASSERT_TRUE(p().pread(*fd, buf, sizeof buf, 0).is_ok());
+  EXPECT_EQ(p().stat("/rt")->atime_ns, now - 23 * kHour);
+  ASSERT_TRUE(p().utimes("/rt", now - 25 * kHour, now - 26 * kHour).is_ok());
+  ASSERT_TRUE(p().pread(*fd, buf, sizeof buf, 0).is_ok());
+  EXPECT_GE(p().stat("/rt")->atime_ns, now);
+  ASSERT_TRUE(p().close(*fd).is_ok());
+}
+
 TEST_F(FsTest, NameTooLongRejected) {
   const std::string long_name = "/" + std::string(300, 'n');
   EXPECT_EQ(p().open(long_name, kOpenCreate | kOpenWrite).code(),

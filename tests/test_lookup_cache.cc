@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/lookup_cache.h"
 #include "fs_fixture.h"
@@ -233,6 +235,34 @@ TEST_F(LookupCacheFsTest, WarmWalkServesFromTheCache) {
   // And the mount-wide counters surface through fsstat().
   ASSERT_TRUE(p().stat("/a/b/f").is_ok());
   EXPECT_GT(fs_->fsstat().lookup_hits, 0u);
+}
+
+TEST_F(LookupCacheFsTest, ConcurrentWarmStatsCountEveryHit) {
+  // The striped counters are exact while the threads counting fit in
+  // distinct cells.
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kStats = 20000;
+  static_assert(kThreads <= common::StripedCounter::kCells);
+  fs_->walker().set_path_cache(nullptr);
+  ASSERT_TRUE(p().mkdir("/a").is_ok());
+  auto fd = p().open("/a/f", core::kOpenCreate | core::kOpenWrite);
+  ASSERT_TRUE(fd.is_ok());
+  ASSERT_TRUE(p().close(*fd).is_ok());
+  ASSERT_TRUE(p().stat("/a/f").is_ok());  // fill
+  (void)delta_stats();
+  std::vector<std::unique_ptr<core::Process>> procs;
+  for (int t = 0; t < kThreads; ++t)
+    procs.push_back(fs_->open_process(1000, 1000));
+  std::vector<std::thread> ts;
+  for (int t = 0; t < kThreads; ++t)
+    ts.emplace_back([&, t] {
+      for (std::uint64_t i = 0; i < kStats; ++i)
+        ASSERT_TRUE(procs[t]->stat("/a/f").is_ok());
+    });
+  for (auto& t : ts) t.join();
+  const auto s = delta_stats();
+  EXPECT_EQ(s.hits, kThreads * kStats * 2);  // "a" and "f" per walk
+  EXPECT_EQ(s.misses + s.conflicts, 0u);
 }
 
 TEST_F(LookupCacheFsTest, WholePathLayerShortCircuitsWarmWalks) {

@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
+#include <cstdint>
 #include <cstring>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -61,6 +68,94 @@ TEST(Device, MoveTransfersOwnership) {
   Device b(std::move(a));
   EXPECT_EQ(b.base(), base);
   EXPECT_EQ(a.base(), nullptr);
+}
+
+constexpr std::size_t kHugePage = 2u << 20;
+
+// Whether [p, p+len) is mapped: mincore fails with ENOMEM on any gap.
+bool mapped(const void* p, std::size_t len) {
+  std::vector<unsigned char> vec((len + 4095) / 4096);
+  return ::mincore(const_cast<void*>(p), len, vec.data()) == 0;
+}
+
+std::string thp_mode() {
+  std::ifstream f("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string line;
+  std::getline(f, line);
+  return line;
+}
+
+// AnonHugePages of the /proc/self/smaps mapping that contains `p`, in kB.
+std::uint64_t anon_huge_kb(const void* p) {
+  const auto addr = reinterpret_cast<std::uintptr_t>(p);
+  std::ifstream f("/proc/self/smaps");
+  std::string line;
+  bool inside = false;
+  while (std::getline(f, line)) {
+    std::uintptr_t lo = 0, hi = 0;
+    char dash = 0;
+    std::istringstream head(line);
+    if (head >> std::hex >> lo >> dash >> hi && dash == '-') {
+      inside = lo <= addr && addr < hi;
+    } else if (inside && line.rfind("AnonHugePages:", 0) == 0) {
+      return std::stoull(line.substr(14));
+    }
+  }
+  return 0;
+}
+
+TEST(Device, AnonymousMappingIsHugePageAligned) {
+  for (Sharing sh : {Sharing::private_mapping, Sharing::shared_mapping}) {
+    Device dev((8u << 20) + 4096, sh);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(dev.base()) % kHugePage, 0u);
+    EXPECT_EQ(dev.size(), (8u << 20) + 4096);
+    EXPECT_TRUE(mapped(dev.base(), dev.size()));
+  }
+}
+
+TEST(Device, MoveAndDestroyUnmapExactlyOnce) {
+  std::byte* a_base = nullptr;
+  std::byte* c_base = nullptr;
+  {
+    Device a(4u << 20);
+    a_base = a.base();
+    a_base[100] = std::byte{0x5a};
+    Device b(std::move(a));
+    { Device sink(std::move(a)); }  // a moved-from device owns nothing
+    EXPECT_TRUE(mapped(a_base, 4u << 20));
+    Device c(2u << 20);
+    c_base = c.base();
+    c = std::move(b);  // unmaps c's old range, takes b's
+    EXPECT_FALSE(mapped(c_base, 2u << 20));
+    EXPECT_EQ(c.base(), a_base);
+    EXPECT_EQ(c.size(), 4u << 20);
+    EXPECT_EQ(std::to_integer<int>(c.base()[100]), 0x5a);
+  }
+  EXPECT_FALSE(mapped(a_base, 4u << 20));
+}
+
+TEST(Device, FileBackedMappingIsUnchanged) {
+  const std::string path = ::testing::TempDir() + "/simurgh_dev_map.img";
+  {
+    Device dev(path, (4u << 20) + 100);
+    EXPECT_TRUE(dev.file_backed());
+    EXPECT_EQ(dev.size(), (4u << 20) + 4096);
+    EXPECT_TRUE(mapped(dev.base(), dev.size()));
+    std::memset(dev.base(), 0x11, dev.size());
+  }
+  struct stat st {};
+  ASSERT_EQ(::stat(path.c_str(), &st), 0);
+  EXPECT_EQ(static_cast<std::size_t>(st.st_size), (4u << 20) + 4096);
+  ::unlink(path.c_str());
+}
+
+TEST(Device, PrivateDeviceIsBackedByHugePagesWhenThpIsOn) {
+  const std::string mode = thp_mode();
+  if (mode.empty() || mode.find("[never]") != std::string::npos)
+    GTEST_SKIP() << "transparent huge pages unavailable: '" << mode << "'";
+  Device dev(64u << 20);
+  dev.wipe();
+  EXPECT_GT(anon_huge_kb(dev.base()), 0u) << "THP mode: " << mode;
 }
 
 TEST(Pptr, NullSemantics) {
